@@ -121,7 +121,7 @@ struct
           t.ever_active []
       in
       Bitset.iter
-        (fun c -> ignore (Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi))
+        (fun c -> Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi)
         t.ever_active;
       Core.tick core core.Core.params.Params.op_cost;
       if targets <> [] then Ipi.multicast t.machine core ~targets;
@@ -234,11 +234,11 @@ struct
 
   let access t (core : Core.t) ~vpn ~write =
     Bitset.add t.ever_active core.Core.id;
-    match Mmu.translate t.mmu core ~vpn ~write with
-    | Mmu.Hit _ ->
-        Core.tick core core.Core.params.Params.l1_hit;
-        Vm_types.Ok
-    | Mmu.Miss | Mmu.Prot_fault _ -> pagefault t core vpn ~write
+    if Mmu.translate t.mmu core ~vpn ~write >= 0 then begin
+      Core.tick core core.Core.params.Params.l1_hit;
+      Vm_types.Ok
+    end
+    else pagefault t core vpn ~write
 
   let touch t core ~vpn = access t core ~vpn ~write:true
   let read t core ~vpn = access t core ~vpn ~write:false

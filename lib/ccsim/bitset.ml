@@ -39,10 +39,11 @@ let unsafe_mem t i =
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 let is_empty t =
-  let rec go k =
-    k = Array.length t.words || (Array.unsafe_get t.words k = 0 && go (k + 1))
-  in
-  go 0
+  let k = ref 0 in
+  while !k < Array.length t.words && Array.unsafe_get t.words !k = 0 do
+    incr k
+  done;
+  !k = Array.length t.words
 
 (* SWAR popcount on OCaml's 63-bit immediates: the usual 64-bit masks
    work unchanged because the (always zero) sign bit contributes
@@ -108,17 +109,19 @@ let choose t =
    sharing?", "is any core of my socket but me sharing?"): straight mask
    arithmetic, so classifying a miss never walks the members. *)
 
+(* Loops over refs rather than local recursive functions: a closure
+   over [t] would be allocated on every call. *)
 let exists_other t i =
   check t i;
   let wi = i lsr 5 and b = i land 31 in
-  let rec go k =
-    if k = Array.length t.words then false
-    else
-      let w = Array.unsafe_get t.words k in
-      let w = if k = wi then w land lnot (1 lsl b) else w in
-      w <> 0 || go (k + 1)
-  in
-  go 0
+  let found = ref false and k = ref 0 in
+  while (not !found) && !k < Array.length t.words do
+    let w = Array.unsafe_get t.words !k in
+    let w = if !k = wi then w land lnot (1 lsl b) else w in
+    found := w <> 0;
+    incr k
+  done;
+  !found
 
 let mem_range_other t ~lo ~hi i =
   if lo < 0 || hi > t.n || lo > hi then invalid_arg "Bitset.mem_range_other";

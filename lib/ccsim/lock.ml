@@ -28,9 +28,16 @@ let quiet_write core t =
   Line.write core t.line;
   Obs.quiet_decr obs
 
-let emit core ev =
-  let obs = (core : Core.t).Core.obs in
-  if Obs.active obs then Obs.emit obs ev
+(* Events are built only under [Obs.active]: without flambda, [ocamlopt]
+   allocates a constructor argument even when the callee drops it. *)
+let note (core : Core.t) t ~acquire =
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    let core = core.Core.id and lock = t.id and line = Line.id t.line in
+    Obs.emit obs
+      (if acquire then
+         Obs.Acquire { core; lock; line; label = t.label; rd = false }
+       else Obs.Release { core; lock; line; label = t.label; rd = false })
 
 let acquire (core : Core.t) t =
   let stats = core.Core.stats in
@@ -43,28 +50,12 @@ let acquire (core : Core.t) t =
       stats.Stats.lock_wait_cycles + (t.free_time - now);
     core.Core.clock <- t.free_time
   end;
-  emit core
-    (Obs.Acquire
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  note core t ~acquire:true
 
 let release (core : Core.t) t =
   quiet_write core t;
   t.free_time <- Core.now core;
-  emit core
-    (Obs.Release
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  note core t ~acquire:false
 
 let try_acquire ?(timeout = 0) (core : Core.t) t =
   if timeout < 0 then invalid_arg "Lock.try_acquire: timeout";
@@ -77,14 +68,16 @@ let try_acquire ?(timeout = 0) (core : Core.t) t =
   let fail ~spin =
     stats.Stats.lock_contended <- stats.Stats.lock_contended + 1;
     Core.tick core spin;
-    emit core
-      (Obs.Write
-         {
-           core = core.Core.id;
-           line = Line.id t.line;
-           label = t.label;
-           kind = Obs.Sync;
-         });
+    let obs = core.Core.obs in
+    if Obs.active obs then
+      Obs.emit obs
+        (Obs.Write
+           {
+             core = core.Core.id;
+             line = Line.id t.line;
+             label = t.label;
+             kind = Obs.Sync;
+           });
     false
   in
   let forced =
@@ -101,15 +94,7 @@ let try_acquire ?(timeout = 0) (core : Core.t) t =
         stats.Stats.lock_wait_cycles + (t.free_time - now);
       core.Core.clock <- t.free_time
     end;
-    emit core
-      (Obs.Acquire
-         {
-           core = core.Core.id;
-           lock = t.id;
-           line = Line.id t.line;
-           label = t.label;
-           rd = false;
-         });
+    note core t ~acquire:true;
     true
   end
 

@@ -5,12 +5,15 @@ type t = {
   params : Params.t;
   stats : Stats.t;
   mutable next : int;
-  free_lists : int list array;  (* per home core *)
+  free_heads : int array;  (* per home core: first free frame, or -1 *)
   list_lines : Line.t array;  (* cache line of each free-list head *)
   (* Frame numbers are dense (0 .. next-1), so per-frame metadata lives in
      flat arrays grown geometrically — the alloc/free/content paths run on
-     every page fault and must not hash. *)
-  mutable home : int array;  (* frame -> home core *)
+     every page fault and must not hash. The free lists are threaded
+     through [home]: a free frame's home is the list it sits on, so its
+     [home] entry holds the next free frame of that list (-1 at the end)
+     until it is allocated again — a free conses nothing. *)
+  mutable home : int array;  (* frame -> home core, or next free frame *)
   mutable content : int array;  (* frame -> one-word content summary *)
   mutable allocated : Bytes.t;  (* liveness: frames currently out *)
   mutable live : int;
@@ -23,7 +26,7 @@ let create params stats =
     params;
     stats;
     next = 0;
-    free_lists = Array.make n [];
+    free_heads = Array.make n (-1);
     list_lines =
       Array.init n (fun i ->
           Line.create ~label:"physmem:freelist" params stats
@@ -69,16 +72,19 @@ let alloc t (core : Core.t) =
      hardware atomics on the list-head line. *)
   Line.write_atomic core t.list_lines.(id);
   let frame =
-    match t.free_lists.(id) with
-    | f :: rest ->
-        t.free_lists.(id) <- rest;
-        f
-    | [] ->
-        let f = t.next in
-        t.next <- t.next + 1;
-        ensure_frame t f;
-        t.home.(f) <- id;
-        f
+    let f = t.free_heads.(id) in
+    if f >= 0 then begin
+      t.free_heads.(id) <- t.home.(f);
+      t.home.(f) <- id;
+      f
+    end
+    else begin
+      let f = t.next in
+      t.next <- t.next + 1;
+      ensure_frame t f;
+      t.home.(f) <- id;
+      f
+    end
   in
   t.stats.Stats.frames_allocated <- t.stats.Stats.frames_allocated + 1;
   t.live <- t.live + 1;
@@ -94,15 +100,16 @@ let try_alloc t core =
 let free t (core : Core.t) frame =
   if frame < 0 || frame >= t.next then
     invalid_arg "Physmem.free: unknown frame";
-  let home = t.home.(frame) in
   (* A frame that is known but not live is being freed twice. Without the
      liveness check the second free would silently push the frame onto the
      free list again — two later allocs would hand out the same frame —
      and [live] would go negative. *)
   if Bytes.get t.allocated frame = '\000' then raise (Double_free frame);
   Bytes.set t.allocated frame '\000';
+  let home = t.home.(frame) in
   Line.write_atomic core t.list_lines.(home);
-  t.free_lists.(home) <- frame :: t.free_lists.(home);
+  t.home.(frame) <- t.free_heads.(home);
+  t.free_heads.(home) <- frame;
   t.stats.Stats.frames_freed <- t.stats.Stats.frames_freed + 1;
   t.live <- t.live - 1
 

@@ -22,9 +22,14 @@ let quiet_write (core : Core.t) t =
   Line.write core t.line;
   Obs.quiet_decr obs
 
-let emit (core : Core.t) ev =
+(* As in {!Lock}: build the event only when a sink will see it. *)
+let note (core : Core.t) t ~acquire ~rd =
   let obs = core.Core.obs in
-  if Obs.active obs then Obs.emit obs ev
+  if Obs.active obs then
+    let core = core.Core.id and lock = t.id and line = Line.id t.line in
+    Obs.emit obs
+      (if acquire then Obs.Acquire { core; lock; line; label = t.label; rd }
+       else Obs.Release { core; lock; line; label = t.label; rd })
 
 let charge_acquire (core : Core.t) t wait_until =
   let stats = core.Core.stats in
@@ -40,50 +45,18 @@ let charge_acquire (core : Core.t) t wait_until =
 
 let read_acquire (core : Core.t) t =
   charge_acquire core t t.writer_free;
-  emit core
-    (Obs.Acquire
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = true;
-       })
+  note core t ~acquire:true ~rd:true
 
 let read_release (core : Core.t) t =
   quiet_write core t;
   t.readers_free <- max t.readers_free (Core.now core);
-  emit core
-    (Obs.Release
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = true;
-       })
+  note core t ~acquire:false ~rd:true
 
 let write_acquire (core : Core.t) t =
   charge_acquire core t (max t.writer_free t.readers_free);
-  emit core
-    (Obs.Acquire
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  note core t ~acquire:true ~rd:false
 
 let write_release (core : Core.t) t =
   quiet_write core t;
   t.writer_free <- Core.now core;
-  emit core
-    (Obs.Release
-       {
-         core = core.Core.id;
-         lock = t.id;
-         line = Line.id t.line;
-         label = t.label;
-         rd = false;
-       })
+  note core t ~acquire:false ~rd:false

@@ -227,22 +227,31 @@ let invalidate t vpn =
 let invalidate_range t ~lo ~hi =
   (* Probe per vpn while the range is narrower than the capacity (each
      probe is a word or two); scan the slots — bounded by [4 * capacity] —
-     only for wide ranges. Either branch drops the same entries; drop
-     order carries no cost and no stats. *)
+     only for wide ranges. Both branches leave the table and the queue as
+     removing the range's vpns in ascending order does. Only the first
+     removal can compact the queue: compaction leaves at most [capacity]
+     entries and removals never lengthen it. So the wide branch removes
+     the smallest vpn first, through [invalidate], and the rest in slot
+     order, which then cannot matter. *)
   if hi - lo <= t.capacity then
     for vpn = lo to hi - 1 do
       invalidate t vpn
     done
   else begin
-    let keys = t.keys in
-    for s = 0 to Array.length keys - 1 do
-      let k = Array.unsafe_get keys s in
-      if k >= 0 && k >= lo && k < hi then begin
-        remove_slot t s;
-        note_drop t k;
-        compact t
-      end
-    done
+    let in_range k = k >= 0 && k >= lo && k < hi in
+    let first = ref max_int in
+    Array.iter (fun k -> if in_range k && k < !first then first := k) t.keys;
+    if !first < max_int then begin
+      invalidate t !first;
+      let keys = t.keys in
+      for s = 0 to Array.length keys - 1 do
+        let k = Array.unsafe_get keys s in
+        if in_range k then begin
+          remove_slot t s;
+          note_drop t k
+        end
+      done
+    end
   end
 
 let queue_length t = t.len

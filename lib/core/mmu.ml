@@ -22,27 +22,24 @@ let asid t = t.asid
 let kind t = Page_table.kind t.pt
 let page_table t = t.pt
 
-type translation = Hit of int | Miss | Prot_fault of int
-
 let translate t (core : Core.t) ~vpn ~write =
   let stats = core.Core.stats and params = core.Core.params in
   let packed = Tlb.lookup_packed t.tlbs.(core.Core.id) vpn in
   if packed >= 0 then begin
     stats.Stats.tlb_hits <- stats.Stats.tlb_hits + 1;
     Core.tick core params.Params.tlb_hit;
-    let pfn = packed lsr 1 in
-    if write && packed land 1 = 0 then Prot_fault pfn else Hit pfn
+    if write && packed land 1 = 0 then -1 else packed lsr 1
   end
   else begin
     stats.Stats.tlb_misses <- stats.Stats.tlb_misses + 1;
     Core.tick core params.Params.hw_walk_base;
     let packed = Page_table.find_packed t.pt core ~vpn in
-    if packed < 0 then Miss
+    if packed < 0 then -1
     else begin
       stats.Stats.hw_walks <- stats.Stats.hw_walks + 1;
       let pfn = packed lsr 1 and writable = packed land 1 = 1 in
       Tlb.insert t.tlbs.(core.Core.id) ~vpn ~pfn ~writable;
-      if write && not writable then Prot_fault pfn else Hit pfn
+      if write && not writable then -1 else pfn
     end
   end
 
@@ -51,15 +48,14 @@ let install t (core : Core.t) ~vpn ~pfn ~writable =
   Tlb.insert t.tlbs.(core.Core.id) ~vpn ~pfn ~writable
 
 let drop_for_core t ~owner ~lo ~hi =
-  let removed = Page_table.clear_range t.pt ~owner ~lo ~hi in
-  Tlb.invalidate_range t.tlbs.(owner) ~lo ~hi;
-  removed
+  Page_table.drop_range t.pt ~owner ~lo ~hi;
+  Tlb.invalidate_range t.tlbs.(owner) ~lo ~hi
 
 let drop_tlb_range t ~owner ~lo ~hi =
   Tlb.invalidate_range t.tlbs.(owner) ~lo ~hi
 
 let discard_for_core t ~owner =
-  ignore (Page_table.clear_range t.pt ~owner ~lo:0 ~hi:max_int);
+  Page_table.drop_range t.pt ~owner ~lo:0 ~hi:max_int;
   Tlb.flush t.tlbs.(owner)
 
 let tlb_mem t ~core ~vpn = Tlb.mem t.tlbs.(core) vpn

@@ -10,14 +10,6 @@
 
 type t
 
-(** Outcome of the hardware path of one memory access. *)
-type translation =
-  | Hit of int  (** translation present with sufficient permission *)
-  | Miss  (** no translation visible: software page fault *)
-  | Prot_fault of int
-      (** translation present but read-only and the access is a write:
-          software protection fault (COW or genuine violation) *)
-
 val create : Ccsim.Machine.t -> Page_table.kind -> t
 
 val asid : t -> int
@@ -28,18 +20,22 @@ val asid : t -> int
 val kind : t -> Page_table.kind
 val page_table : t -> Page_table.t
 
-val translate : t -> Ccsim.Core.t -> vpn:int -> write:bool -> translation
-(** TLB lookup, then hardware walk; fills the TLB on a walk hit. *)
+val translate : t -> Ccsim.Core.t -> vpn:int -> write:bool -> int
+(** TLB lookup, then hardware walk; fills the TLB on a walk hit. Returns
+    the frame when a translation is present with sufficient permission,
+    else [-1]: no translation is visible, or the access is a write through
+    a read-only one (COW or a genuine violation). Either way the caller
+    takes a software page fault. An int rather than a variant, so the
+    access path allocates nothing. *)
 
 val install :
   t -> Ccsim.Core.t -> vpn:int -> pfn:int -> writable:bool -> unit
 (** Called at the end of a software page fault: fill the faulting core's
     page table and TLB. *)
 
-val drop_for_core : t -> owner:int -> lo:int -> hi:int -> (int * int) list
+val drop_for_core : t -> owner:int -> lo:int -> hi:int -> unit
 (** Remove translations for [lo, hi) from core [owner]'s page table and
-    TLB; returns the [(vpn, pfn)] pairs that were present in the page
-    table. *)
+    TLB. *)
 
 val drop_tlb_range : t -> owner:int -> lo:int -> hi:int -> unit
 (** Invalidate core [owner]'s TLB entries for [lo, hi) without touching

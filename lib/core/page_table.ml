@@ -120,6 +120,15 @@ let clear_range t ~owner ~lo ~hi =
   end;
   List.rev !removed
 
+let drop_range t ~owner ~lo ~hi =
+  let map = t.maps.(domain_of t owner) in
+  (* The narrow case removes in place, building no list. *)
+  if hi - lo <= 64 || hi - lo < Int_table.length map then
+    for vpn = lo to hi - 1 do
+      Int_table.remove map vpn
+    done
+  else ignore (clear_range t ~owner ~lo ~hi : (int * int) list)
+
 let entries t =
   Array.fold_left (fun acc map -> acc + Int_table.length map) 0 t.maps
 

@@ -11,10 +11,12 @@ module Make (C : Refcnt.Counter_intf.S) = struct
      the page's leaf slot (Figure 3), so its mutations are charged against
      the slot's cache line, which the fault path already owns through the
      slot lock. *)
+  type frame = No_frame | Frame of { pfn : int; handle : C.handle }
+
   type meta = {
     prot : Vm_types.prot;
     backing : Vm_types.backing;
-    mutable frame : (int * C.handle) option;
+    mutable frame : frame;
     mutable cow : bool;  (* shared frame: a write must copy first *)
     tlb_cores : Bitset.t;  (* cores that may cache this page's translation *)
   }
@@ -27,6 +29,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     tree : meta Radix.t;
     mmu : Mmu.t;
     ever_active : Bitset.t;  (* cores that ever used this address space *)
+    targets : Bitset.t;  (* scratch: one unmap's shootdown targets *)
     rangelock : Locks.Range_lock.kind;  (* forked children inherit *)
     rl_partition : int option;
     mutable crashed : (unit -> unit) option;
@@ -38,11 +41,23 @@ module Make (C : Refcnt.Counter_intf.S) = struct
 
   let name = "radixvm+" ^ C.name
 
+  let has_frame m = match m.frame with Frame _ -> true | No_frame -> false
+
+  (* What {!Radix.get_page} returns for an unmapped page. *)
+  let no_meta =
+    {
+      prot = Vm_types.Read_only;
+      backing = Vm_types.Anon;
+      frame = No_frame;
+      cow = false;
+      tlb_cores = Bitset.create 0;
+    }
+
   let fresh_meta (core : Core.t) ~prot ~backing =
     {
       prot;
       backing;
-      frame = None;
+      frame = No_frame;
       cow = false;
       tlb_cores = Bitset.create core.Core.params.Params.ncores;
     }
@@ -69,6 +84,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
           machine rc core0;
       mmu = Mmu.create machine mmu;
       ever_active = Bitset.create (Machine.ncores machine);
+      targets = Bitset.create (Machine.ncores machine);
       rangelock;
       rl_partition = partition;
       crashed = None;
@@ -112,7 +128,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     widen_to_groups t targets;
     if not (Bitset.is_empty targets) then begin
       Bitset.iter
-        (fun c -> ignore (Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi))
+        (fun c -> Mmu.drop_for_core t.mmu ~owner:c ~lo ~hi)
         targets;
       let remote =
         Bitset.fold
@@ -125,34 +141,35 @@ module Make (C : Refcnt.Counter_intf.S) = struct
         Ipi.multicast t.machine core ~targets:remote
     end
 
-  (* Unmap bookkeeping shared by munmap and map-over: with the range still
-     locked, gather the frames and the cores that may cache translations,
-     clear exactly those cores' page tables and TLBs, and interrupt the
-     remote ones. Returns the frame handles whose references the caller
-     drops *after* unlocking (the paper's ordering). *)
-  let cleanup_removed t (core : Core.t) ~lo ~hi removed =
-    let ncores = Machine.ncores t.machine in
-    let targets = Bitset.create ncores in
-    let handles = ref [] in
-    let any_frames = ref false in
-    List.iter
-      (fun (_vpn, _count, m) ->
+  (* Add to [targets] the cores that may cache a translation of a removed
+     page; [true] if any removed page had a frame. *)
+  let rec gather_targets t targets any_frames = function
+    | [] -> any_frames
+    | (_vpn, _count, m) :: rest -> (
         match m.frame with
-        | Some (_pfn, h) ->
-            any_frames := true;
-            handles := h :: !handles;
+        | No_frame -> gather_targets t targets any_frames rest
+        | Frame _ ->
             (match Mmu.kind t.mmu with
             | Page_table.Per_core | Page_table.Grouped _ ->
                 Bitset.union_into ~dst:targets m.tlb_cores
-            | Page_table.Shared -> ())
-        | None -> ())
-      removed;
+            | Page_table.Shared -> ());
+            gather_targets t targets true rest)
+
+  (* Unmap bookkeeping shared by munmap and map-over: with the range still
+     locked, gather the cores that may cache translations of the removed
+     pages, clear exactly those cores' page tables and TLBs, and interrupt
+     the remote ones. The caller drops the removed frames' references
+     ({!drop_handles}) *after* unlocking (the paper's ordering). *)
+  let cleanup_removed t (core : Core.t) ~lo ~hi removed =
+    let targets = t.targets in
+    Bitset.clear targets;
+    let any_frames = gather_targets t targets false removed in
     (* Shared page tables give no usage information: if any page was ever
        faulted, conservatively shoot down every core that used the address
        space. *)
     (match Mmu.kind t.mmu with
     | Page_table.Shared ->
-        if !any_frames then Bitset.union_into ~dst:targets t.ever_active
+        if any_frames then Bitset.union_into ~dst:targets t.ever_active
     | Page_table.Per_core | Page_table.Grouped _ -> ());
     shootdown t core ~lo ~hi targets;
     (* The range is gone and the shootdown round is over: no core may still
@@ -161,11 +178,17 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     if Obs.active obs then
       Obs.emit obs
         (Obs.Unmap_done
-           { core = core.Core.id; asid = Mmu.asid t.mmu; lo; hi });
-    !handles
+           { core = core.Core.id; asid = Mmu.asid t.mmu; lo; hi })
 
-  let drop_handles t core handles =
-    List.iter (fun h -> C.dec t.csub core h) handles
+  (* Drop the frame references of the removed pages, in the order
+     {!Radix.clear_range} returns them: last page first. *)
+  let rec drop_handles t core = function
+    | [] -> ()
+    | (_vpn, _count, m) :: rest ->
+        (match m.frame with
+        | Frame { handle; _ } -> C.dec t.csub core handle
+        | No_frame -> ());
+        drop_handles t core rest
 
   (* ---------------------------------------------------------------- *)
   (* Fault-injection plumbing. Every operation below is exception-safe:
@@ -212,19 +235,32 @@ module Make (C : Refcnt.Counter_intf.S) = struct
 
   let crash_pending t = Option.is_some t.crashed
 
+  (* [e] escaped an operation holding [lk]. A crash stashes [repair] (built
+     here, on the failure path only) and leaves the tree as the dead core
+     left it; any other failure has been rolled back by now, so the range
+     is unlocked. *)
+  let abandon t core lk ~repair e =
+    stash_crash t repair e;
+    if (not (is_crash e)) && not (rollback_broken core) then
+      Radix.unlock_range t.tree core lk;
+    raise e
+
+  let release_dead t core lk () = Radix.unlock_range ~dead:true t.tree core lk
+
   (* Reinstall the mappings a [clear_range] removed, page by page, undoing
      a partially applied operation. The displaced records still own their
      frame references (the caller must not have dropped the collected
      handles), so putting the same records back restores the refcount
      picture exactly. Pages of a folded run go back as per-page slots
-     sharing one record — the same sharing [Radix.expand] produces. *)
-  let reinstate t core lk removed =
-    List.iter
-      (fun (vpn, count, m) ->
+     sharing one record — the same sharing [Radix.expand] produces.
+     [removed] is descending, so the lowest page goes back first. *)
+  let rec reinstate t core lk = function
+    | [] -> ()
+    | (vpn, count, m) :: rest ->
+        reinstate t core lk rest;
         for p = vpn to vpn + count - 1 do
           Radix.set_page t.tree core lk p m
-        done)
-      removed
+        done
 
   let mmap t (core : Core.t) ~vpn ~npages ?(prot = Vm_types.Read_write)
       ?(backing = Vm_types.Anon) () =
@@ -235,43 +271,40 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    let repair = ref (fun () -> Radix.unlock_range ~dead:true t.tree core lk) in
     match
       abort_point core ~op:"mmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi removed in
-      (repair :=
-         fun () ->
-           (* Drop any partial fill (its fresh records carry no frames),
-              put the displaced mappings back — they still own the
-              collected handles' references — and free the range on the
-              dead core's behalf. *)
-           let _ : (int * int * meta) list =
-             Radix.clear_range t.tree core lk
-           in
-           reinstate t core lk removed;
-           Radix.unlock_range ~dead:true t.tree core lk);
-      (try
-         abort_point core ~op:"mmap" ~point:"cleared";
-         Radix.fill_range t.tree core lk (fresh_meta core ~prot ~backing);
-         abort_point core ~op:"mmap" ~point:"filled"
-       with e when (not (is_crash e)) && not (rollback_broken core) ->
-         (* Drop any partial fill, put the displaced mappings back. The
-            shoot-down that already happened only over-invalidated TLBs,
-            which is always safe. *)
-         let _ : (int * int * meta) list = Radix.clear_range t.tree core lk in
-         reinstate t core lk removed;
-         raise e);
-      handles
+      cleanup_removed t core ~lo ~hi removed;
+      removed
     with
-    | handles ->
-        Radix.unlock_range t.tree core lk;
-        drop_handles t core handles
-    | exception e ->
-        stash_crash t !repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+    | exception e -> abandon t core lk e ~repair:(release_dead t core lk)
+    | removed -> (
+        match
+          abort_point core ~op:"mmap" ~point:"cleared";
+          Radix.fill_range t.tree core lk (fresh_meta core ~prot ~backing);
+          abort_point core ~op:"mmap" ~point:"filled"
+        with
+        | () ->
+            Radix.unlock_range t.tree core lk;
+            drop_handles t core removed
+        | exception e ->
+            (* Drop any partial fill (its fresh records carry no frames) and
+               put the displaced mappings back — they still own their frame
+               references. The shoot-down that already happened only
+               over-invalidated TLBs, which is always safe. A crash leaves
+               the same work to [reap], which also frees the range on the
+               dead core's behalf. *)
+            let roll_back () =
+              let _ : (int * int * meta) list =
+                Radix.clear_range t.tree core lk
+              in
+              reinstate t core lk removed
+            in
+            if (not (is_crash e)) && not (rollback_broken core) then
+              roll_back ();
+            abandon t core lk e ~repair:(fun () ->
+                roll_back ();
+                release_dead t core lk ()))
 
   let munmap t (core : Core.t) ~vpn ~npages =
     if npages <= 0 then invalid_arg "Radixvm.munmap: npages";
@@ -280,29 +313,24 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    let repair = ref (fun () -> Radix.unlock_range ~dead:true t.tree core lk) in
     match
       abort_point core ~op:"munmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi removed in
-      (repair :=
-         fun () ->
-           reinstate t core lk removed;
-           Radix.unlock_range ~dead:true t.tree core lk);
-      (try abort_point core ~op:"munmap" ~point:"cleared"
-       with e when (not (is_crash e)) && not (rollback_broken core) ->
-         reinstate t core lk removed;
-         raise e);
-      handles
+      cleanup_removed t core ~lo ~hi removed;
+      removed
     with
-    | handles ->
-        Radix.unlock_range t.tree core lk;
-        drop_handles t core handles
-    | exception e ->
-        stash_crash t !repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+    | exception e -> abandon t core lk e ~repair:(release_dead t core lk)
+    | removed -> (
+        match abort_point core ~op:"munmap" ~point:"cleared" with
+        | () ->
+            Radix.unlock_range t.tree core lk;
+            drop_handles t core removed
+        | exception e ->
+            if (not (is_crash e)) && not (rollback_broken core) then
+              reinstate t core lk removed;
+            abandon t core lk e ~repair:(fun () ->
+                reinstate t core lk removed;
+                release_dead t core lk ()))
 
   let destroy t core =
     (* Process teardown must not fail: like a real kernel's exit path it
@@ -338,9 +366,6 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    (* The only injection point fires before the first mutation, so a
-       crash here leaves nothing to back out: repair just frees the lock. *)
-    let repair () = Radix.unlock_range ~dead:true t.tree core lk in
     match
       (* The only abort point is before the first mutation: a permission
          rewrite cannot be partially rolled back page by page, so the
@@ -349,7 +374,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
       let targets = Bitset.create (Machine.ncores t.machine) in
       let any_frames = ref false in
       Radix.update_range t.tree core lk ~f:(fun m ->
-          if Option.is_some m.frame then begin
+          if has_frame m then begin
             any_frames := true;
             Bitset.union_into ~dst:targets m.tlb_cores
           end;
@@ -364,10 +389,10 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     with
     | () -> Radix.unlock_range t.tree core lk
     | exception e ->
-        stash_crash t repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+        (* The only injection point fires before the first mutation, so a
+           crash here leaves nothing to back out: repair just frees the
+           lock. *)
+        abandon t core lk e ~repair:(release_dead t core lk)
 
   let mmap_shared_frame t (core : Core.t) ~vpn ~npages ~pfn handle =
     if npages <= 0 then invalid_arg "Radixvm.mmap_shared_frame: npages";
@@ -377,31 +402,27 @@ module Make (C : Refcnt.Counter_intf.S) = struct
     Core.tick core core.Core.params.Params.op_cost;
     let lo = vpn and hi = vpn + npages in
     let lk = Radix.lock_range t.tree core ~lo ~hi in
-    (* The one injection point fires before any mutation (the fill loop
-       that follows cannot fault), so repair is unlock-only. *)
-    let repair () = Radix.unlock_range ~dead:true t.tree core lk in
     match
       abort_point core ~op:"mmap" ~point:"locked";
       let removed = Radix.clear_range t.tree core lk in
-      let handles = cleanup_removed t core ~lo ~hi removed in
+      cleanup_removed t core ~lo ~hi removed;
       for p = lo to hi - 1 do
         C.inc t.csub core handle;
         let m =
           fresh_meta core ~prot:Vm_types.Read_write ~backing:Vm_types.Anon
         in
-        m.frame <- Some (pfn, handle);
+        m.frame <- Frame { pfn; handle };
         Radix.set_page t.tree core lk p m
       done;
-      handles
+      removed
     with
-    | handles ->
+    | removed ->
         Radix.unlock_range t.tree core lk;
-        drop_handles t core handles
+        drop_handles t core removed
     | exception e ->
-        stash_crash t repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+        (* The one injection point fires before any mutation (the fill loop
+           that follows cannot fault), so repair is unlock-only. *)
+        abandon t core lk e ~repair:(release_dead t core lk)
 
   (* Attach a frame to a faulting page, privatizing its metadata record:
      anonymous pages get a zeroed frame, file pages come from the shared
@@ -418,11 +439,13 @@ module Make (C : Refcnt.Counter_intf.S) = struct
             C.make t.csub core ~init:1 ~on_free:(fun c ->
                 Physmem.free (Machine.physmem t.machine) c pfn)
           in
-          (pfn, handle)
-      | Vm_types.File fd -> Cache.get t.cache core ~file:fd ~page:vpn
+          Frame { pfn; handle }
+      | Vm_types.File fd ->
+          let pfn, handle = Cache.get t.cache core ~file:fd ~page:vpn in
+          Frame { pfn; handle }
     in
     let m' = fresh_meta core ~prot:m.prot ~backing:m.backing in
-    m'.frame <- Some frame;
+    m'.frame <- frame;
     m'.cow <- m.cow;
     Radix.set_page t.tree core lk vpn m';
     m'
@@ -431,8 +454,8 @@ module Make (C : Refcnt.Counter_intf.S) = struct
      drop the reference on the original. *)
   let break_cow t (core : Core.t) m =
     match m.frame with
-    | None -> assert false
-    | Some (old_pfn, old_handle) ->
+    | No_frame -> assert false
+    | Frame { pfn = old_pfn; handle = old_handle } ->
         let pm = Machine.physmem t.machine in
         let pfn = Physmem.alloc pm core in
         (* copying the old page's contents *)
@@ -442,94 +465,91 @@ module Make (C : Refcnt.Counter_intf.S) = struct
           C.make t.csub core ~init:1 ~on_free:(fun c ->
               Physmem.free (Machine.physmem t.machine) c pfn)
         in
-        m.frame <- Some (pfn, handle);
+        m.frame <- Frame { pfn; handle };
         m.cow <- false;
         C.dec t.csub core old_handle
 
   (* The software page-fault handler (section 3.4), for both misses and
      protection faults (COW breaks and lazy RO->RW upgrades). Returns the
-     frame the access may now use, or [None] for a genuine violation. *)
+     frame the access may now use, or [-1] for a genuine violation. *)
   let pagefault t (core : Core.t) vpn ~write =
     let stats = core.Core.stats in
     stats.Stats.pagefaults <- stats.Stats.pagefaults + 1;
     let lk = Radix.lock_range t.tree core ~lo:vpn ~hi:(vpn + 1) in
-    (* Pre-mutation injection point only: a crash here holds the page's
-       lock but has touched nothing, so repair is unlock-only. *)
-    let repair () = Radix.unlock_range ~dead:true t.tree core lk in
     match
       (* Pre-mutation abort point; [Physmem.alloc] inside [attach_frame]
          and [break_cow] can additionally raise [Out_of_frames], in both
          cases before the page's metadata record is touched — so an OOM
          fault leaves the page exactly as it was. *)
       abort_point core ~op:"pagefault" ~point:"locked";
-      match Radix.get_page t.tree core lk vpn with
-      | None -> None
-      | Some m
-        when write
-             && match m.prot with
-                | Vm_types.Read_only -> true
-                | Vm_types.Read_write -> false ->
-          None
-      | Some m ->
-          let m =
-            match m.frame with
-            | Some _ ->
-                stats.Stats.fill_faults <- stats.Stats.fill_faults + 1;
-                m
-            | None -> attach_frame t core lk vpn m
-          in
-          if write && m.cow then break_cow t core m;
-          let pfn =
-            match m.frame with Some (p, _) -> p | None -> assert false
-          in
-          (match Mmu.kind t.mmu with
-          | Page_table.Per_core | Page_table.Grouped _ ->
-              (* Record this core in the page's shootdown set — a local
-                 store; the metadata shares the locked slot's line. *)
-              Core.tick core core.Core.params.Params.l1_hit;
-              Bitset.add m.tlb_cores core.Core.id
-          | Page_table.Shared -> ());
-          Mmu.install t.mmu core ~vpn ~pfn ~writable:(writable m);
-          Some pfn
+      let m = Radix.get_page t.tree core lk vpn ~absent:no_meta in
+      if
+        m == no_meta
+        || write
+           && match m.prot with
+              | Vm_types.Read_only -> true
+              | Vm_types.Read_write -> false
+      then -1
+      else begin
+        let m =
+          match m.frame with
+          | Frame _ ->
+              stats.Stats.fill_faults <- stats.Stats.fill_faults + 1;
+              m
+          | No_frame -> attach_frame t core lk vpn m
+        in
+        if write && m.cow then break_cow t core m;
+        let pfn =
+          match m.frame with Frame { pfn; _ } -> pfn | No_frame -> assert false
+        in
+        (match Mmu.kind t.mmu with
+        | Page_table.Per_core | Page_table.Grouped _ ->
+            (* Record this core in the page's shootdown set — a local
+               store; the metadata shares the locked slot's line. *)
+            Core.tick core core.Core.params.Params.l1_hit;
+            Bitset.add m.tlb_cores core.Core.id
+        | Page_table.Shared -> ());
+        Mmu.install t.mmu core ~vpn ~pfn ~writable:(writable m);
+        pfn
+      end
     with
-    | r ->
+    | pfn ->
         Radix.unlock_range t.tree core lk;
-        r
+        pfn
     | exception e ->
-        stash_crash t repair e;
-        if (not (is_crash e)) && not (rollback_broken core) then
-          Radix.unlock_range t.tree core lk;
-        raise e
+        (* Pre-mutation injection point only: a crash here holds the
+           page's lock but has touched nothing, so repair is unlock-only. *)
+        abandon t core lk e ~repair:(release_dead t core lk)
 
-  (* Resolve one user access to the frame it may use. *)
+  (* Resolve one user access to the frame it may use, or [-1]. *)
   let resolve t (core : Core.t) ~vpn ~write =
     Bitset.add t.ever_active core.Core.id;
-    match Mmu.translate t.mmu core ~vpn ~write with
-    | Mmu.Hit pfn ->
-        (* the user load/store itself *)
-        Core.tick core core.Core.params.Params.l1_hit;
-        Some pfn
-    | Mmu.Miss | Mmu.Prot_fault _ -> pagefault t core vpn ~write
+    let pfn = Mmu.translate t.mmu core ~vpn ~write in
+    if pfn >= 0 then begin
+      (* the user load/store itself *)
+      Core.tick core core.Core.params.Params.l1_hit;
+      pfn
+    end
+    else pagefault t core vpn ~write
 
   let access t core ~vpn ~write =
-    match resolve t core ~vpn ~write with
-    | Some _ -> Vm_types.Ok
-    | None -> Vm_types.Segfault
+    if resolve t core ~vpn ~write >= 0 then Vm_types.Ok else Vm_types.Segfault
 
   let touch t core ~vpn = access t core ~vpn ~write:true
   let read t core ~vpn = access t core ~vpn ~write:false
 
   let store t core ~vpn value =
-    match resolve t core ~vpn ~write:true with
-    | Some pfn ->
-        Physmem.set_content (Machine.physmem t.machine) pfn value;
-        Vm_types.Ok
-    | None -> Vm_types.Segfault
+    let pfn = resolve t core ~vpn ~write:true in
+    if pfn >= 0 then begin
+      Physmem.set_content (Machine.physmem t.machine) pfn value;
+      Vm_types.Ok
+    end
+    else Vm_types.Segfault
 
   let load t core ~vpn =
-    match resolve t core ~vpn ~write:false with
-    | Some pfn -> Some (Physmem.get_content (Machine.physmem t.machine) pfn)
-    | None -> None
+    let pfn = resolve t core ~vpn ~write:false in
+    if pfn >= 0 then Some (Physmem.get_content (Machine.physmem t.machine) pfn)
+    else None
 
   (* fork: duplicate the address space. File-backed pages stay shared
      through the page cache; anonymous pages become copy-on-write in both
@@ -550,23 +570,13 @@ module Make (C : Refcnt.Counter_intf.S) = struct
        COW before): an abort must restore their bits, or the parent's
        still-cached writable translations would contradict the tree. *)
     let demoted = ref [] in
-    (* One repair covers every fork crash point: no shootdown has happened
-       before the last injection point, so restoring the demoted records'
-       COW bits restores the parent exactly; the half-built child is torn
-       down, returning the frame references the copy loop took. *)
-    let repair () =
-      List.iter (fun m -> m.cow <- false) !demoted;
-      Radix.unlock_range ~dead:true child.tree core child_lk;
-      Radix.unlock_range ~dead:true t.tree core lk;
-      destroy child core
-    in
     match
     abort_point core ~op:"fork" ~point:"locked";
     let targets = Bitset.create (Machine.ncores t.machine) in
     (* Demote the parent's writable anonymous pages to COW. *)
     Radix.update_range t.tree core lk ~f:(fun m ->
         (match (m.frame, m.backing, m.prot) with
-        | Some _, Vm_types.Anon, Vm_types.Read_write ->
+        | Frame _, Vm_types.Anon, Vm_types.Read_write ->
             Bitset.union_into ~dst:targets m.tlb_cores;
             if not m.cow then demoted := m :: !demoted;
             m.cow <- true
@@ -579,14 +589,14 @@ module Make (C : Refcnt.Counter_intf.S) = struct
            abort_point core ~op:"fork" ~point:"copy";
            Core.tick core core.Core.params.Params.l1_hit;
            match m.frame with
-           | None ->
+           | No_frame ->
                (* lazy page: child inherits the mapping, no frame *)
                Radix.set_page child.tree core child_lk vpn
                  (fresh_meta core ~prot:m.prot ~backing:m.backing)
-           | Some (pfn, handle) ->
+           | Frame { handle; _ } as frame ->
                C.inc t.csub core handle;
                let cm = fresh_meta core ~prot:m.prot ~backing:m.backing in
-               cm.frame <- Some (pfn, handle);
+               cm.frame <- frame;
                cm.cow <- m.cow;
                Radix.set_page child.tree core child_lk vpn cm));
     (* Drop the parent's (possibly writable) translations for demoted
@@ -604,7 +614,18 @@ module Make (C : Refcnt.Counter_intf.S) = struct
         Radix.unlock_range t.tree core lk;
         child
     | exception e ->
-        stash_crash t repair e;
+        (* One repair covers every fork crash point: no shootdown has
+           happened before the last injection point, so restoring the
+           demoted records' COW bits restores the parent exactly; the
+           half-built child is torn down, returning the frame references
+           the copy loop took. *)
+        stash_crash t
+          (fun () ->
+            List.iter (fun m -> m.cow <- false) !demoted;
+            Radix.unlock_range ~dead:true child.tree core child_lk;
+            Radix.unlock_range ~dead:true t.tree core lk;
+            destroy child core)
+          e;
         if (not (is_crash e)) && not (rollback_broken core) then begin
           (* No shootdown has happened yet, so restoring the demoted
              records' COW bits restores the parent exactly (its cached
@@ -691,7 +712,7 @@ module Make (C : Refcnt.Counter_intf.S) = struct
   let index_bytes t =
     let private_records =
       Radix.fold_mapped t.tree ~init:0 ~f:(fun acc _vpn m ->
-          if Option.is_some m.frame then acc + 1 else acc)
+          if has_frame m then acc + 1 else acc)
     in
     Radix.approx_bytes t.tree + (meta_bytes * private_records)
 
@@ -719,8 +740,8 @@ module Make (C : Refcnt.Counter_intf.S) = struct
       ignore
         (Radix.fold_mapped t.tree ~init:() ~f:(fun () vpn m ->
              match m.frame with
-             | None -> ()
-             | Some (pfn, _) ->
+             | No_frame -> ()
+             | Frame { pfn; _ } ->
                  for c = 0 to Machine.ncores t.machine - 1 do
                    let pt = Mmu.pt_entry t.mmu ~core:c ~vpn in
                    let cached =

@@ -221,6 +221,29 @@ let rec mutable_value env ty ~depth =
             | _ -> None))
   | _ -> None
 
+(* [Obs.event] constructors and [Obs.active] calls, in whichever form a
+   resolved path takes: [Obs.x] inside ccsim, [Ccsim.Obs.x] or
+   [Ccsim__Obs.x] outside it. *)
+let is_obs_name ~last p =
+  String.equal (Path.last p) last && path_has "Obs" (Path.name p)
+
+let is_obs_event (cd : constructor_description) =
+  match get_desc cd.cstr_res with
+  | Tconstr (p, _, _) -> is_obs_name ~last:"event" p
+  | _ -> false
+
+(* Is the condition [Obs.active _], or a conjunction with it as one
+   operand? Then it holds only when a sink will see the event. *)
+let rec tests_obs_active (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+      is_obs_name ~last:"active" p
+      || String.equal (normalize (Path.name p)) "&&"
+         && List.exists
+              (function _, Some a -> tests_obs_active a | _, None -> false)
+              args
+  | _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* The walk                                                            *)
 
@@ -328,8 +351,25 @@ let collect scope modname file_fallback str =
         check_poly_instantiation env loc n ty
     end
   in
+  (* [hot-eager-event]: [guarded] counts the enclosing branches that run
+     only when [Obs.active] held — the [then] branch of an [if] whose
+     condition tests it, or a match case whose [when] guard does. *)
+  let guarded = ref 0 in
+  let under_guard f =
+    incr guarded;
+    Fun.protect ~finally:(fun () -> decr guarded) f
+  in
   let super = Tast_iterator.default_iterator in
   let expr self (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_construct (lid, cd, _ :: _)
+      when scope.sim_core && !guarded = 0 && is_obs_event cd ->
+        emit Finding.Hot_eager_event lid.loc
+          (Printf.sprintf
+             "Obs.%s event built outside an [if Obs.active ...] branch — it \
+              is allocated even when no sink is installed"
+             cd.cstr_name)
+    | _ -> ());
     (match e.exp_desc with
     | Texp_ident (p, lid, _) ->
         let env = real_env e.exp_env in
@@ -349,7 +389,20 @@ let collect scope modname file_fallback str =
                deterministic emitter"
         | _ -> ())
     | _ -> ());
-    super.Tast_iterator.expr self e
+    match e.exp_desc with
+    | Texp_ifthenelse (cond, ifso, ifnot) when tests_obs_active cond ->
+        self.Tast_iterator.expr self cond;
+        under_guard (fun () -> self.Tast_iterator.expr self ifso);
+        Option.iter (self.Tast_iterator.expr self) ifnot
+    | _ -> super.Tast_iterator.expr self e
+  in
+  let case self (c : _ Typedtree.case) =
+    match c.c_guard with
+    | Some g when tests_obs_active g ->
+        self.Tast_iterator.pat self c.c_lhs;
+        self.Tast_iterator.expr self g;
+        under_guard (fun () -> self.Tast_iterator.expr self c.c_rhs)
+    | _ -> super.Tast_iterator.case self c
   in
   let value_binding self (vb : Typedtree.value_binding) =
     match vb.vb_pat.pat_desc with
@@ -368,7 +421,7 @@ let collect scope modname file_fallback str =
     | None -> super.Tast_iterator.module_binding self mb
   in
   let iterator =
-    { super with Tast_iterator.expr; value_binding; module_binding }
+    { super with Tast_iterator.expr; case; value_binding; module_binding }
   in
   (* Rule 1 walks structure items by hand: [Tstr_value] only occurs at
      module level, which is exactly the scope where mutable state is

@@ -9,6 +9,7 @@ type rule =
   | Hot_hashtbl
   | Hot_polycompare
   | Hot_marshal
+  | Hot_eager_event
   | Allow_stale
   | Allow_malformed
 
@@ -24,6 +25,7 @@ let all_rules =
     Hot_hashtbl;
     Hot_polycompare;
     Hot_marshal;
+    Hot_eager_event;
     Allow_stale;
     Allow_malformed;
   ]
@@ -39,6 +41,7 @@ let rule_id = function
   | Hot_hashtbl -> "hot-hashtbl"
   | Hot_polycompare -> "hot-polycompare"
   | Hot_marshal -> "hot-marshal"
+  | Hot_eager_event -> "hot-eager-event"
   | Allow_stale -> "allow-stale"
   | Allow_malformed -> "allow-malformed"
 

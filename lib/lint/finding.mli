@@ -38,6 +38,13 @@ type rule =
       (** Polymorphic [compare]/[=]/[hash] instantiated at a
           non-immediate type in a module tagged hot. *)
   | Hot_marshal  (** [Marshal] in a module tagged hot. *)
+  | Hot_eager_event
+      (** An [Obs.event] constructor built outside the [then] branch of an
+          [if] on [Obs.active], or outside a match case guarded by it.
+          Without flambda, [ocamlopt] allocates a constructor argument even
+          when the callee drops it, so an eager event costs an allocation
+          on every call made with no sink installed. Applies to the
+          simulator ([lib/]); tests emit events directly on purpose. *)
   | Allow_stale  (** An allowlist entry that matches no finding. *)
   | Allow_malformed  (** An allowlist line that does not parse. *)
 

@@ -24,6 +24,19 @@ type backend =
   | Embedded of { partition : int option }
   | External of Locks.Range_lock.t
 
+(* What a locked range holds, in acquisition order: entry [k] is
+   [nodes.(k)] with [bounds.(2k)], [bounds.(2k+1)] the first and last slot
+   it locked, or first = [-1] for a traversal pin on the node. Adjacent
+   slots of one node locked one after the other share an entry. *)
+type 'v locked = {
+  mutable lk_lo : int;
+  mutable lk_hi : int;
+  mutable nodes : 'v node array;
+  mutable bounds : int array;
+  mutable len : int;
+  mutable ext : Locks.Range_lock.handle option;  (* [External] backends *)
+}
+
 type 'v t = {
   rc : Refcache.t;
   fanout : int;
@@ -33,6 +46,12 @@ type 'v t = {
   pages_per_slot : int array;  (* indexed by level: fanout^level *)
   mutable root : 'v node option;  (* None only while [create] runs *)
   mutable nodes : int;
+  (* Operations on one tree run one at a time on the host, so one
+     [locked] record, with its grown arrays, serves almost every
+     [lock_range]; a range locked while it is out (a crashed operation
+     awaiting its reap, or a caller holding two ranges) gets a fresh one. *)
+  spare : 'v locked;
+  mutable spare_busy : bool;
 }
 
 let root t =
@@ -40,14 +59,31 @@ let root t =
   | Some node -> node
   | None -> invalid_arg "Radix: tree not initialized"
 
+let empty_locked () =
+  { lk_lo = 0; lk_hi = 0; nodes = [||]; bounds = [||]; len = 0; ext = None }
 
-type 'v locked = {
-  lk_lo : int;
-  lk_hi : int;
-  mutable spans : ('v node * int * int) list;
-  mutable pins : 'v node list;
-  mutable ext : Locks.Range_lock.handle option;  (* [External] backends *)
-}
+let push lk node first last =
+  let k = lk.len in
+  if
+    k > 0 && first >= 0
+    && lk.nodes.(k - 1) == node
+    && lk.bounds.((2 * k) - 2) >= 0
+    && lk.bounds.((2 * k) - 1) = first - 1
+  then lk.bounds.((2 * k) - 1) <- last
+  else begin
+    if k = Array.length lk.nodes then begin
+      let cap = Int.max 8 (2 * k) in
+      let nodes = Array.make cap node and bounds = Array.make (2 * cap) 0 in
+      Array.blit lk.nodes 0 nodes 0 k;
+      Array.blit lk.bounds 0 bounds 0 (2 * k);
+      lk.nodes <- nodes;
+      lk.bounds <- bounds
+    end;
+    lk.nodes.(k) <- node;
+    lk.bounds.(2 * k) <- first;
+    lk.bounds.((2 * k) + 1) <- last;
+    lk.len <- k + 1
+  end
 
 (* Interior slots are pointer-sized, eight per 64-byte line (false sharing
    between neighbouring slots is real and modeled). Leaf slots hold the
@@ -161,6 +197,8 @@ let create ?(bits = 9) ?(levels = 4) ?(collapse = false)
       pages_per_slot;
       root = None;
       nodes = 0;
+      spare = empty_locked ();
+      spare_busy = false;
     }
   in
   let root = alloc_node t core ~level:(levels - 1) ~base:0 ~content:Empty in
@@ -189,7 +227,7 @@ let expand t core parent i content lk =
       for j = 0 to t.fanout - 1 do
         Lock.acquire core child.locks.(j)
       done;
-      lk.spans <- (child, 0, t.fanout - 1) :: lk.spans
+      push lk child 0 (t.fanout - 1)
   | External _ -> ());
   write_slot t core parent i (Child child);
   child
@@ -214,91 +252,100 @@ let split_fold t core parent i v =
   child.parent <- Some (parent, i);
   write_slot t core parent i (Child child)
 
-let slot_bounds t node i =
+(* The embedded walk of {!lock_range}: lock the slots of [node] that
+   cover [lo, hi), descending through children. Top-level functions with
+   every argument explicit, so a walk allocates no closures. *)
+let rec lock_node t core lk partition node lo hi =
   let span = t.pages_per_slot.(node.level) in
-  let lo = node.base + (i * span) in
-  (lo, lo + span)
+  let first = (lo - node.base) / span in
+  let last = (hi - 1 - node.base) / span in
+  if node.level = 0 then begin
+    for i = first to last do
+      Lock.acquire core node.locks.(i)
+    done;
+    push lk node first last
+  end
+  else
+    for i = first to last do
+      lock_slot t core lk partition node lo hi i
+    done
 
-let clamp lo hi slot_lo slot_hi = (max lo slot_lo, min hi slot_hi)
+and lock_slot t core lk partition node lo hi i =
+  let span = t.pages_per_slot.(node.level) in
+  let slot_lo = node.base + (i * span) in
+  let slot_hi = slot_lo + span in
+  match read_slot core node i with
+  | Child n ->
+      if Refcache.tryget t.rc core n.weak then begin
+        push lk n (-1) (-1);
+        lock_node t core lk partition n (Int.max lo slot_lo)
+          (Int.min hi slot_hi)
+      end
+      else begin
+        (* The child was collapsed under us; clean up, retry. *)
+        Lock.acquire core node.locks.(i);
+        (match node.slots.(i) with
+        | Child n' when n'.dead -> write_slot t core node i Empty
+        | Empty | Folded _ | Child _ -> ());
+        Lock.release core node.locks.(i);
+        lock_slot t core lk partition node lo hi i
+      end
+  | Folded _
+    when partition > 0 && span > partition
+         && not (lo <= slot_lo && slot_hi <= hi) ->
+      (* Partitioning: split the huge fold rather than lock it whole.
+         Taking the slot lock briefly serializes racing splitters of this
+         one slot; after the split both descend into disjoint parts of
+         the child. *)
+      Lock.acquire core node.locks.(i);
+      (match node.slots.(i) with
+      | Folded v' -> split_fold t core node i v'
+      | Empty | Child _ -> ());
+      Lock.release core node.locks.(i);
+      lock_slot t core lk partition node lo hi i
+  | Empty | Folded _ ->
+      (* Lock at interior granularity; expansion, if needed, happens later
+         under this lock. *)
+      Lock.acquire core node.locks.(i);
+      push lk node i i
 
 let lock_range t core ~lo ~hi =
   if not (0 <= lo && lo < hi && hi <= max_vpn t) then
     invalid_arg "Radix.lock_range: bad range";
-  let lk = { lk_lo = lo; lk_hi = hi; spans = []; pins = []; ext = None } in
-  match t.backend with
-  | External rl ->
-      lk.ext <- Some (Locks.Range_lock.acquire core rl ~lo ~hi);
-      lk
+  let lk =
+    if t.spare_busy then empty_locked ()
+    else begin
+      t.spare_busy <- true;
+      t.spare
+    end
+  in
+  lk.lk_lo <- lo;
+  lk.lk_hi <- hi;
+  (match t.backend with
+  | External rl -> lk.ext <- Some (Locks.Range_lock.acquire core rl ~lo ~hi)
   | Embedded { partition } ->
-      let rec go node lo hi =
-        let span = t.pages_per_slot.(node.level) in
-        let first = (lo - node.base) / span in
-        let last = (hi - 1 - node.base) / span in
-        if node.level = 0 then begin
-          for i = first to last do
-            Lock.acquire core node.locks.(i)
-          done;
-          lk.spans <- (node, first, last) :: lk.spans
-        end
-        else
-          let rec do_slot i =
-            let slot_lo, slot_hi = slot_bounds t node i in
-            match read_slot core node i with
-            | Child n -> (
-                match Refcache.tryget t.rc core n.weak with
-                | Some _ ->
-                    lk.pins <- n :: lk.pins;
-                    let l, h = clamp lo hi slot_lo slot_hi in
-                    go n l h
-                | None ->
-                    (* The child was collapsed under us; clean up, retry. *)
-                    Lock.acquire core node.locks.(i);
-                    (match node.slots.(i) with
-                    | Child n' when n'.dead -> write_slot t core node i Empty
-                    | Empty | Folded _ | Child _ -> ());
-                    Lock.release core node.locks.(i);
-                    do_slot i)
-            | Folded _
-              when (match partition with
-                   | Some p -> span > p && not (lo <= slot_lo && slot_hi <= hi)
-                   | None -> false) ->
-                (* Partitioning: split the huge fold rather than lock it
-                   whole. Taking the slot lock briefly serializes racing
-                   splitters of this one slot; after the split both descend
-                   into disjoint parts of the child. *)
-                Lock.acquire core node.locks.(i);
-                (match node.slots.(i) with
-                | Folded v' -> split_fold t core node i v'
-                | Empty | Child _ -> ());
-                Lock.release core node.locks.(i);
-                do_slot i
-            | Empty | Folded _ ->
-                (* Lock at interior granularity; expansion, if needed,
-                   happens later under this lock. *)
-                Lock.acquire core node.locks.(i);
-                lk.spans <- (node, i, i) :: lk.spans
-          in
-          for i = first to last do
-            do_slot i
-          done
-      in
-      go (root t) lo hi;
-      lk
+      let partition = match partition with Some p -> p | None -> 0 in
+      lock_node t core lk partition (root t) lo hi);
+  lk
 
 let unlock_range ?(dead = false) t core lk =
-  (* Spans are prepended as they are locked, so walking the list releases
-     in reverse acquisition order; releasing each span back-to-front makes
-     the whole sequence LIFO (and keeps the checker's held-lock stack pops
-     at the top instead of scanning). [dead] marks a reap-path release —
-     the owner died holding the range ({!Radixvm.reap}); external backends
-     count those separately. *)
-  List.iter
-    (fun (node, i0, i1) ->
-      for i = i1 downto i0 do
+  (* Releasing spans newest first, each back-to-front, makes the whole
+     sequence LIFO (and keeps the checker's held-lock stack pops at the
+     top instead of scanning); the pins are dropped afterwards, newest
+     first. [dead] marks a reap-path release — the owner died holding the
+     range ({!Radixvm.reap}); external backends count those separately. *)
+  for k = lk.len - 1 downto 0 do
+    let first = lk.bounds.(2 * k) in
+    if first >= 0 then begin
+      let node = lk.nodes.(k) in
+      for i = lk.bounds.((2 * k) + 1) downto first do
         Lock.release core node.locks.(i)
-      done)
-    lk.spans;
-  List.iter (fun node -> Refcache.dec t.rc core node.obj) lk.pins;
+      done
+    end
+  done;
+  for k = lk.len - 1 downto 0 do
+    if lk.bounds.(2 * k) < 0 then Refcache.dec t.rc core lk.nodes.(k).obj
+  done;
   (match lk.ext with
   | None -> ()
   | Some h ->
@@ -308,142 +355,147 @@ let unlock_range ?(dead = false) t core lk =
           else Locks.Range_lock.release core rl h
       | Embedded _ -> assert false);
       lk.ext <- None);
-  lk.spans <- [];
-  lk.pins <- []
+  lk.len <- 0;
+  if lk == t.spare then t.spare_busy <- false
 
 let check_in_range lk ~lo ~hi op =
   if lo < lk.lk_lo || hi > lk.lk_hi then
     invalid_arg (op ^ ": outside the locked range")
 
-let fill_range t core lk v =
-  let lo = lk.lk_lo and hi = lk.lk_hi in
-  let rec fill node lo hi =
-    let span = t.pages_per_slot.(node.level) in
-    let first = (lo - node.base) / span in
-    let last = (hi - 1 - node.base) / span in
-    for i = first to last do
-      let slot_lo, slot_hi = slot_bounds t node i in
-      let full = lo <= slot_lo && slot_hi <= hi in
-      if node.level = 0 then begin
-        (match node.slots.(i) with
-        | Empty -> ()
-        | Folded _ | Child _ -> invalid_arg "Radix.fill_range: page mapped");
-        write_slot t core node i (Folded v)
-      end
-      else
-        match read_slot core node i with
-        | Child n ->
-            let l, h = clamp lo hi slot_lo slot_hi in
-            fill n l h
-        | Folded _ -> invalid_arg "Radix.fill_range: range mapped"
-        | Empty ->
-            if full then write_slot t core node i (Folded v)
-            else begin
-              let child = expand t core node i Empty lk in
-              let l, h = clamp lo hi slot_lo slot_hi in
-              fill child l h
-            end
-    done
-  in
-  fill (root t) lo hi
+(* The range walks below are top-level recursive functions with every
+   argument explicit, and compute slot bounds inline: a local closure or a
+   returned (lo, hi) pair would be allocated per call or per slot. *)
+let rec fill_node t core lk folded node lo hi =
+  let span = t.pages_per_slot.(node.level) in
+  let first = (lo - node.base) / span in
+  let last = (hi - 1 - node.base) / span in
+  for i = first to last do
+    let slot_lo = node.base + (i * span) in
+    let slot_hi = slot_lo + span in
+    if node.level = 0 then begin
+      (match node.slots.(i) with
+      | Empty -> ()
+      | Folded _ | Child _ -> invalid_arg "Radix.fill_range: page mapped");
+      write_slot t core node i folded
+    end
+    else
+      match read_slot core node i with
+      | Child n ->
+          fill_node t core lk folded n (Int.max lo slot_lo) (Int.min hi slot_hi)
+      | Folded _ -> invalid_arg "Radix.fill_range: range mapped"
+      | Empty ->
+          if lo <= slot_lo && slot_hi <= hi then write_slot t core node i folded
+          else
+            let child = expand t core node i Empty lk in
+            fill_node t core lk folded child (Int.max lo slot_lo)
+              (Int.min hi slot_hi)
+  done
 
-let clear_range t core lk =
-  let lo = lk.lk_lo and hi = lk.lk_hi in
-  let acc = ref [] in
-  let rec clear node lo hi =
+(* Every slot the fill writes holds the same immutable [Folded v]. *)
+let fill_range t core lk v =
+  fill_node t core lk (Folded v) (root t) lk.lk_lo lk.lk_hi
+
+(* Clear slots [i .. last] of [node] within [lo, hi), consing each removed
+   run onto [acc]. *)
+let rec clear_slots t core lk node lo hi i last acc =
+  if i > last then acc
+  else
     let span = t.pages_per_slot.(node.level) in
-    let first = (lo - node.base) / span in
-    let last = (hi - 1 - node.base) / span in
-    for i = first to last do
-      let slot_lo, slot_hi = slot_bounds t node i in
-      let full = lo <= slot_lo && slot_hi <= hi in
+    let slot_lo = node.base + (i * span) in
+    let slot_hi = slot_lo + span in
+    let acc =
       if node.level = 0 then (
         match read_slot core node i with
-        | Empty -> ()
+        | Empty -> acc
         | Folded v ->
-            acc := (node.base + i, 1, v) :: !acc;
-            write_slot t core node i Empty
+            write_slot t core node i Empty;
+            (node.base + i, 1, v) :: acc
         | Child _ -> assert false)
       else
         match read_slot core node i with
-        | Empty -> ()
+        | Empty -> acc
         | Child n ->
-            let l, h = clamp lo hi slot_lo slot_hi in
-            clear n l h
+            clear_node t core lk n (Int.max lo slot_lo) (Int.min hi slot_hi)
+              acc
         | Folded v ->
-            if full then begin
-              acc := (slot_lo, span, v) :: !acc;
-              write_slot t core node i Empty
+            if lo <= slot_lo && slot_hi <= hi then begin
+              write_slot t core node i Empty;
+              (slot_lo, span, v) :: acc
             end
-            else begin
+            else
               (* Partially unmapping a folded run: expand so the surviving
                  part keeps its mapping. *)
               let child = expand t core node i (Folded v) lk in
-              let l, h = clamp lo hi slot_lo slot_hi in
-              clear child l h
-            end
-    done
-  in
-  clear (root t) lo hi;
-  List.rev !acc
+              clear_node t core lk child (Int.max lo slot_lo)
+                (Int.min hi slot_hi) acc
+    in
+    clear_slots t core lk node lo hi (i + 1) last acc
+
+and clear_node t core lk node lo hi acc =
+  let span = t.pages_per_slot.(node.level) in
+  clear_slots t core lk node lo hi
+    ((lo - node.base) / span)
+    ((hi - 1 - node.base) / span)
+    acc
+
+let clear_range t core lk = clear_node t core lk (root t) lk.lk_lo lk.lk_hi []
+
+let rec update_node t core lk f node lo hi =
+  let span = t.pages_per_slot.(node.level) in
+  let first = (lo - node.base) / span in
+  let last = (hi - 1 - node.base) / span in
+  for i = first to last do
+    let slot_lo = node.base + (i * span) in
+    let slot_hi = slot_lo + span in
+    if node.level = 0 then (
+      match read_slot core node i with
+      | Empty -> ()
+      | Folded v -> write_slot t core node i (Folded (f v))
+      | Child _ -> assert false)
+    else
+      match read_slot core node i with
+      | Empty -> ()
+      | Child n ->
+          update_node t core lk f n (Int.max lo slot_lo) (Int.min hi slot_hi)
+      | Folded v ->
+          if lo <= slot_lo && slot_hi <= hi then
+            write_slot t core node i (Folded (f v))
+          else
+            let child = expand t core node i (Folded v) lk in
+            update_node t core lk f child (Int.max lo slot_lo)
+              (Int.min hi slot_hi)
+  done
 
 let update_range t core lk ~f =
-  let lo = lk.lk_lo and hi = lk.lk_hi in
-  let rec update node lo hi =
-    let span = t.pages_per_slot.(node.level) in
-    let first = (lo - node.base) / span in
-    let last = (hi - 1 - node.base) / span in
-    for i = first to last do
-      let slot_lo, slot_hi = slot_bounds t node i in
-      let full = lo <= slot_lo && slot_hi <= hi in
-      if node.level = 0 then (
-        match read_slot core node i with
-        | Empty -> ()
-        | Folded v -> write_slot t core node i (Folded (f v))
-        | Child _ -> assert false)
-      else
-        match read_slot core node i with
-        | Empty -> ()
-        | Child n ->
-            let l, h = clamp lo hi slot_lo slot_hi in
-            update n l h
-        | Folded v ->
-            if full then write_slot t core node i (Folded (f v))
-            else begin
-              let child = expand t core node i (Folded v) lk in
-              let l, h = clamp lo hi slot_lo slot_hi in
-              update child l h
-            end
-    done
-  in
-  update (root t) lo hi
+  update_node t core lk f (root t) lk.lk_lo lk.lk_hi
 
-let get_page t core lk vpn =
+(* Point operations walk down with a loop, not a local recursive
+   function, so the page-fault path allocates no closure. *)
+let slot_index t node vpn = (vpn - node.base) / t.pages_per_slot.(node.level)
+
+let get_page t core lk vpn ~absent =
   check_in_range lk ~lo:vpn ~hi:(vpn + 1) "Radix.get_page";
-  let rec get node =
-    let span = t.pages_per_slot.(node.level) in
-    let i = (vpn - node.base) / span in
-    match read_slot core node i with
-    | Empty -> None
-    | Folded v -> Some v
-    | Child n -> get n
-  in
-  get (root t)
+  let node = ref (root t) and result = ref absent and walking = ref true in
+  while !walking do
+    match read_slot core !node (slot_index t !node vpn) with
+    | Empty -> walking := false
+    | Folded v ->
+        result := v;
+        walking := false
+    | Child n -> node := n
+  done;
+  !result
 
 let set_page t core lk vpn v =
   check_in_range lk ~lo:vpn ~hi:(vpn + 1) "Radix.set_page";
-  let rec set node =
-    let span = t.pages_per_slot.(node.level) in
-    let i = (vpn - node.base) / span in
-    if node.level = 0 then write_slot t core node i (Folded v)
-    else
-      match read_slot core node i with
-      | Child n -> set n
-      | (Empty | Folded _) as content ->
-          let child = expand t core node i content lk in
-          set child
-  in
-  set (root t)
+  let node = ref (root t) in
+  while !node.level > 0 do
+    let i = slot_index t !node vpn in
+    match read_slot core !node i with
+    | Child n -> node := n
+    | (Empty | Folded _) as content -> node := expand t core !node i content lk
+  done;
+  write_slot t core !node (slot_index t !node vpn) (Folded v)
 
 let lookup t core vpn =
   if vpn < 0 || vpn >= max_vpn t then invalid_arg "Radix.lookup";
@@ -453,13 +505,13 @@ let lookup t core vpn =
     match read_slot core node i with
     | Empty -> None
     | Folded v -> Some v
-    | Child n -> (
-        match Refcache.tryget t.rc core n.weak with
-        | Some _ ->
-            let r = look n in
-            Refcache.dec t.rc core n.obj;
-            r
-        | None -> None)
+    | Child n ->
+        if Refcache.tryget t.rc core n.weak then begin
+          let r = look n in
+          Refcache.dec t.rc core n.obj;
+          r
+        end
+        else None
   in
   look (root t)
 

@@ -86,8 +86,9 @@ val fill_range : 'v t -> Ccsim.Core.t -> 'v locked -> 'v -> unit
 val clear_range :
   'v t -> Ccsim.Core.t -> 'v locked -> (int * int * 'v) list
 (** Unmap every page in the locked range. Returns the removed runs as
-    [(first_vpn, page_count, value)] triples in ascending order — a folded
-    run comes back as one triple, per-page entries as single-page runs. *)
+    [(first_vpn, page_count, value)] triples in descending order (the
+    walk is ascending; the list is left as collected) — a folded run comes
+    back as one triple, per-page entries as single-page runs. *)
 
 val update_range : 'v t -> Ccsim.Core.t -> 'v locked -> f:('v -> 'v) -> unit
 (** Replace every mapped page's value in the locked range: folded slots
@@ -96,8 +97,9 @@ val update_range : 'v t -> Ccsim.Core.t -> 'v locked -> f:('v -> 'v) -> unit
     first. Used by mprotect-style operations that transform metadata
     without unmapping. *)
 
-val get_page : 'v t -> Ccsim.Core.t -> 'v locked -> int -> 'v option
-(** The value covering one page of the locked range (folded or private). *)
+val get_page : 'v t -> Ccsim.Core.t -> 'v locked -> int -> absent:'v -> 'v
+(** The value covering one page of the locked range (folded or private),
+    or [absent] if the page is unmapped. *)
 
 val set_page : 'v t -> Ccsim.Core.t -> 'v locked -> int -> 'v -> unit
 (** Give one page of the locked range its own value, expanding any folds

@@ -8,9 +8,11 @@ type obj = {
   lock : Lock.t;
   mutable dirty : bool;  (* global count left zero during this epoch? *)
   mutable on_review : bool;
+  mutable review_epoch : int;  (* epoch it was queued in, while on_review *)
   mutable freed : bool;
   free : Core.t -> unit;
   mutable weak : weakref option;
+  mutable some : obj option;  (* [Some] this object, built once: see [slot] *)
 }
 
 and weakref = {
@@ -19,22 +21,19 @@ and weakref = {
   wline : Line.t;
 }
 
-type slot = {
-  mutable sobj : obj option;
-  mutable delta : int;
-  mutable queued : bool;  (* on this core's dirty list *)
-}
+(* A slot write stores the object's own [some], so filling a slot
+   allocates nothing. *)
+type slot = { mutable sobj : obj option; mutable delta : int }
 
-(* [dirty] lists the slots touched since the last flush (every slot with a
-   nonzero delta is on it — flush zeroes all deltas, so a nonzero delta
-   implies a touch since). Flush walks it instead of all [cache_slots]
-   slots, which turns the per-epoch maintenance cost from O(cache size)
-   into O(slots actually used this epoch). *)
-type percore = {
-  slots : slot array;
-  mutable dirty_slots : int list;
-  review : (obj * int) Queue.t;
-}
+(* [touched] marks the slots touched since the last flush (every slot with a
+   nonzero delta is marked — flush zeroes all deltas, so a nonzero delta
+   implies a touch since). Flush walks the marks in ascending slot order
+   instead of all [cache_slots] slots, which turns the per-epoch
+   maintenance cost from O(cache size) into O(cache size / 32 + slots
+   actually used this epoch), with no list to build or sort. Each queued
+   object carries its own [review_epoch], so the review queue holds bare
+   objects. *)
+type percore = { slots : slot array; touched : Bitset.t; review : obj Queue.t }
 
 type t = {
   mask : int;
@@ -65,10 +64,6 @@ let fresh_oid () = Atomic.fetch_and_add next_oid 1
    simulation is a pure function of its own configuration. *)
 let hash_obj t obj = obj.seq * 0x9E3779B1 land t.mask
 
-let emit (core : Core.t) ev =
-  let obs = core.Core.obs in
-  if Obs.active obs then Obs.emit obs ev
-
 let queue_for_review t (core : Core.t) obj =
   obj.dirty <- false;
   (match obj.weak with
@@ -78,7 +73,8 @@ let queue_for_review t (core : Core.t) obj =
       w.dying <- true
   | None -> ());
   obj.on_review <- true;
-  Queue.push (obj, t.global_epoch) t.percore.(core.Core.id).review
+  obj.review_epoch <- t.global_epoch;
+  Queue.push obj t.percore.(core.Core.id).review
 
 (* Apply a cached delta to the object's global count (Figure 2, evict). *)
 let evict t (core : Core.t) obj delta =
@@ -126,21 +122,26 @@ let cached_delta t (core : Core.t) obj d =
     | Some o -> not (o == obj)
     | None -> true
   then begin
-    s.sobj <- Some obj;
+    s.sobj <- obj.some;
     s.delta <- 0
   end;
   s.delta <- s.delta + d;
-  if not s.queued then begin
-    s.queued <- true;
-    pc.dirty_slots <- (if s == s1 then way0 lor 1 else way0) :: pc.dirty_slots
-  end
+  Bitset.add pc.touched (if s == s1 then way0 lor 1 else way0)
 
+(* Events are built only under [Obs.active]: without flambda, [ocamlopt]
+   allocates a constructor argument even when the callee drops it. *)
 let inc t (core : Core.t) obj =
-  emit core (Obs.Rc_inc { core = core.Core.id; oid = obj.oid; label = obj.label });
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Rc_inc { core = core.Core.id; oid = obj.oid; label = obj.label });
   cached_delta t core obj 1
 
 let dec t (core : Core.t) obj =
-  emit core (Obs.Rc_dec { core = core.Core.id; oid = obj.oid; label = obj.label });
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs
+      (Obs.Rc_dec { core = core.Core.id; oid = obj.oid; label = obj.label });
   cached_delta t core obj (-1)
 
 (* Process this core's review queue (Figure 2, review). *)
@@ -148,8 +149,8 @@ let review t (core : Core.t) =
   let q = t.percore.(core.Core.id).review in
   let n = Queue.length q in
   for _ = 1 to n do
-    let ((obj, objepoch) as entry) = Queue.pop q in
-    if t.global_epoch < objepoch + 2 then Queue.push entry q
+    let obj = Queue.pop q in
+    if t.global_epoch < obj.review_epoch + 2 then Queue.push obj q
     else begin
       Lock.acquire core obj.lock;
       obj.on_review <- false;
@@ -182,9 +183,11 @@ let review t (core : Core.t) =
         if weak_cleared then begin
           obj.freed <- true;
           Lock.release core obj.lock;
-          emit core
-            (Obs.Rc_free
-               { core = core.Core.id; oid = obj.oid; label = obj.label });
+          let obs = core.Core.obs in
+          if Obs.active obs then
+            Obs.emit obs
+              (Obs.Rc_free
+                 { core = core.Core.id; oid = obj.oid; label = obj.label });
           obj.free core
         end
         else begin
@@ -201,18 +204,16 @@ let flush t (core : Core.t) =
   let pc = t.percore.(id) in
   (* Ascending slot order, exactly the full-array walk's eviction order —
      eviction order is observable (line-stall timing, lock events). *)
-  let dirty = List.sort compare pc.dirty_slots in
-  pc.dirty_slots <- [];
-  List.iter
+  Bitset.iter
     (fun i ->
       let s = pc.slots.(i) in
-      s.queued <- false;
       match s.sobj with
       | Some o when s.delta <> 0 ->
           evict t core o s.delta;
           s.delta <- 0
       | _ -> ())
-    dirty;
+    pc.touched;
+  Bitset.clear pc.touched;
   if not t.flushed.(id) then begin
     t.flushed.(id) <- true;
     t.nflushed <- t.nflushed + 1;
@@ -235,9 +236,8 @@ let create ?(cache_slots = 4096) machine =
         Array.init n (fun _ ->
             {
               slots =
-                Array.init cache_slots (fun _ ->
-                    { sobj = None; delta = 0; queued = false });
-              dirty_slots = [];
+                Array.init cache_slots (fun _ -> { sobj = None; delta = 0 });
+              touched = Bitset.create cache_slots;
               review = Queue.create ();
             });
       global_epoch = 0;
@@ -265,13 +265,17 @@ let make_obj ?(label = "refcache:obj") t (core : Core.t) ~init ~free =
       lock = Lock.create ~label core;
       dirty = false;
       on_review = false;
+      review_epoch = 0;
       freed = false;
       free;
       weak = None;
+      some = None;
     }
   in
-  emit core
-    (Obs.Rc_make { core = core.Core.id; oid; init; label });
+  obj.some <- Some obj;
+  let obs = core.Core.obs in
+  if Obs.active obs then
+    Obs.emit obs (Obs.Rc_make { core = core.Core.id; oid; init; label });
   if init = 0 then begin
     Lock.acquire core obj.lock;
     queue_for_review t core obj;
@@ -293,28 +297,29 @@ let tryget t (core : Core.t) w =
      scale. *)
   Line.read_atomic core w.wline;
   match w.target with
-  | None -> None
+  | None -> false
   | Some obj ->
       if w.dying then begin
         Line.write_atomic core w.wline;
         w.dying <- false
       end;
       inc t core obj;
-      Some obj
+      true
 
 let is_freed obj = obj.freed
 let oid obj = obj.oid
 
+(* An object can only sit in its own two-way set of each core's cache. *)
 let true_count t obj =
+  let way0 = hash_obj t obj land lnot 1 in
   let total = ref (Cell.peek obj.refcnt) in
   Array.iter
     (fun pc ->
-      Array.iter
-        (fun s ->
-          match s.sobj with
-          | Some o when o == obj -> total := !total + s.delta
-          | _ -> ())
-        pc.slots)
+      for i = way0 to way0 lor 1 do
+        match pc.slots.(i).sobj with
+        | Some o when o == obj -> total := !total + pc.slots.(i).delta
+        | _ -> ()
+      done)
     t.percore;
   !total
 

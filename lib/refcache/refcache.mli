@@ -46,9 +46,10 @@ val make_weak_obj :
 val inc : t -> Ccsim.Core.t -> obj -> unit
 val dec : t -> Ccsim.Core.t -> obj -> unit
 
-val tryget : t -> Ccsim.Core.t -> weakref -> obj option
-(** Revive through a weak reference: increments and returns the object, or
-    [None] if it has been freed (or is being freed). *)
+val tryget : t -> Ccsim.Core.t -> weakref -> bool
+(** Revive through a weak reference: increments the object's count and
+    returns [true], or returns [false] if it has been freed (or is being
+    freed). *)
 
 val is_freed : obj -> bool
 
@@ -56,8 +57,9 @@ val oid : obj -> int
 (** The object id carried by this object's [Rc_*] instrumentation events. *)
 
 val true_count : t -> obj -> int
-(** Global count plus all cached deltas — the count's true value. O(cores);
-    for tests and assertions only (charges nothing). *)
+(** Global count plus all cached deltas — the count's true value. O(cores):
+    it reads the object's two-way set in each core's cache. For tests and
+    assertions only (charges nothing). *)
 
 val epoch : t -> int
 (** Current global epoch. *)

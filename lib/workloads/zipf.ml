@@ -1,4 +1,6 @@
-type t = { n : int; cdf : float array; mutable state : int64 }
+(* [state] is the generator's one int64 word, kept unboxed in 8 bytes:
+   a mutable [int64] field would box a fresh value on every draw. *)
+type t = { n : int; cdf : float array; state : Bytes.t }
 
 (* splitmix64: a tiny, well-mixed generator with one word of explicit
    state. The weights are normalized in rank order and summed left to
@@ -7,7 +9,7 @@ type t = { n : int; cdf : float array; mutable state : int64 }
 
 let gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L
@@ -32,16 +34,21 @@ let create ~n ~s ~seed =
   (* Guard against the partial sums topping out below 1.0: the last rank
      absorbs the rounding so every u in [0,1) maps to a valid rank. *)
   cdf.(n - 1) <- 1.0;
-  { n; cdf; state = mix (Int64.of_int seed) }
+  let state = Bytes.create 8 in
+  Bytes.set_int64_le state 0 (mix (Int64.of_int seed));
+  { n; cdf; state }
 
 let n t = t.n
 
-let uniform t =
-  t.state <- Int64.add t.state gamma;
-  let bits = Int64.shift_right_logical (mix t.state) 11 in
+(* [uniform] and [sample_u] are inlined into [next], so a draw keeps its
+   float unboxed too: [next] allocates nothing. *)
+let[@inline] uniform t =
+  let z = Int64.add (Bytes.get_int64_le t.state 0) gamma in
+  Bytes.set_int64_le t.state 0 z;
+  let bits = Int64.shift_right_logical (mix z) 11 in
   Int64.to_float bits *. 0x1p-53
 
-let sample_u t u =
+let[@inline] sample_u t u =
   let lo = ref 0 and hi = ref (t.n - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

@@ -633,17 +633,24 @@ let test_stats_conservation () =
 (* ------------------------------------------------------------------ *)
 
 (* Random op sequences against a naive model that mirrors the TLB's
-   replacement scheme directly: a live map plus an *uncompacted* ring of
-   every insertion (duplicates and stale entries included). Eviction pops
-   the ring until it removes a live vpn — note that a vpn re-inserted
-   after invalidation is revived at its old ring position, so its
-   eviction age spans the invalidation; a plain first-insert FIFO list is
-   *not* a correct model. Because the model never compacts while the real
-   TLB does, contents agreement is exactly the claim that compaction
-   preserves eviction order. The queue-length bound is also asserted
-   after every op: invalidation compacts the ring back to the live set
-   once it passes twice the capacity, and at most [capacity] insert-only
-   pushes fit between invalidations, so it stays below 3 * capacity. *)
+   replacement scheme directly: a live map plus a ring of every insertion
+   of a vpn that was not live (oldest first, stale entries included).
+   Eviction pops the ring until it removes a live vpn — note that a vpn
+   re-inserted after invalidation can be evicted at an older ring
+   position, so its eviction age spans the invalidation; a plain
+   first-insert FIFO list is *not* a correct model. The model also
+   encodes the TLB's compaction rule: when an invalidation removes a live
+   vpn while the ring is longer than twice the capacity, the ring keeps
+   only the oldest entry of each vpn still live. A range invalidation
+   removes its vpns in ascending order. With both rules the model's ring
+   is the TLB's queue, so after every op the contents, the queue length
+   and the queue bound are checked. The bound: the queue holds at most
+   2 * capacity entries plus one per live vpn. An insert of a new vpn
+   pushes one entry and either adds a live vpn or first pops at least
+   one; an invalidation that removes a live vpn from a queue longer than
+   2 * capacity compacts it to at most the live count. So the queue never exceeds
+   3 * capacity, and reaches it (2 * capacity stale entries, then
+   [capacity] fresh inserts). *)
 let tlb_model =
   let cap = 8 in
   let universe = 3 * cap in
@@ -655,6 +662,21 @@ let tlb_model =
       let t = Tlb.create ~capacity:cap () in
       let live = Hashtbl.create 16 in
       let ring = ref [] in  (* oldest first *)
+      let invalidate vpn =
+        if Hashtbl.mem live vpn then begin
+          Hashtbl.remove live vpn;
+          if List.length !ring > 2 * cap then begin
+            let seen = Hashtbl.create 16 in
+            ring :=
+              List.filter
+                (fun v ->
+                  let keep = Hashtbl.mem live v && not (Hashtbl.mem seen v) in
+                  if keep then Hashtbl.replace seen v ();
+                  keep)
+                !ring
+          end
+        end
+      in
       let ok = ref true in
       List.iter
         (fun (tag, a, b) ->
@@ -682,19 +704,21 @@ let tlb_model =
               end
           | 6 | 7 ->
               Tlb.invalidate t a;
-              Hashtbl.remove live a
+              invalidate a
           | 8 ->
+              (* Ranges wider than [cap] take the TLB's slot-scan path. *)
               let lo = min a b and hi = max a b in
               Tlb.invalidate_range t ~lo ~hi;
               for vpn = lo to hi - 1 do
-                Hashtbl.remove live vpn
+                invalidate vpn
               done
           | _ ->
               Tlb.flush t;
               Hashtbl.reset live;
               ring := []);
           if Tlb.size t <> Hashtbl.length live then ok := false;
-          if Tlb.queue_length t >= 3 * cap then ok := false)
+          if Tlb.queue_length t <> List.length !ring then ok := false;
+          if Tlb.queue_length t > 3 * cap then ok := false)
         ops;
       let lookups_agree =
         List.for_all

@@ -290,6 +290,17 @@ let () =
           fires "bad_hot.ml" "hot-hashtbl" "Bad_hot.store";
           fires "bad_hot.ml" "hot-marshal" "Bad_hot.save";
           fires "bad_hot.ml" "hot-marshal" "Bad_hot.load";
+          fires "bad_event.ml" "hot-eager-event" "Bad_event.eager_acquire";
+          fires "bad_event.ml" "hot-eager-event" "Bad_event.hoisted.ev";
+          fires "bad_event.ml" "hot-eager-event" "Bad_event.wrong_branch";
+          Alcotest.test_case "event under if Obs.active exempt" `Quick
+            (check_silent ~file:"bad_event.ml" ~site:"Bad_event.guarded_if"
+               "an event built in the then branch of Obs.active is not \
+                flagged");
+          Alcotest.test_case "event under when Obs.active exempt" `Quick
+            (check_silent ~file:"bad_event.ml" ~site:"Bad_event.guarded_case"
+               "an event built in a case guarded by Obs.active is not \
+                flagged");
         ] );
       ( "allowlist",
         [

@@ -70,8 +70,8 @@ let test_set_page_expands () =
   let c = Machine.core m 0 in
   mmap tree c ~lo:0 ~hi:256 "shared";
   let lk = Radix.lock_range tree c ~lo:7 ~hi:8 in
-  Alcotest.(check (option string)) "get through fold" (Some "shared")
-    (Radix.get_page tree c lk 7);
+  Alcotest.(check string) "get through fold" "shared"
+    (Radix.get_page tree c lk 7 ~absent:"");
   Radix.set_page tree c lk 7 "private";
   Radix.unlock_range tree c lk;
   Alcotest.(check (option string)) "private page" (Some "private")
@@ -157,7 +157,7 @@ let test_out_of_token_access_rejected () =
   let lk = Radix.lock_range tree c ~lo:0 ~hi:8 in
   Alcotest.check_raises "get outside token"
     (Invalid_argument "Radix.get_page: outside the locked range") (fun () ->
-      ignore (Radix.get_page tree c lk 9));
+      ignore (Radix.get_page tree c lk 9 ~absent:""));
   Radix.unlock_range tree c lk
 
 (* ------------------------------------------------------------------ *)
@@ -275,7 +275,7 @@ let radix_model_test ~collapse =
           | Setp p ->
               incr next_id;
               let lk = Radix.lock_range tree c ~lo:p ~hi:(p + 1) in
-              if Radix.get_page tree c lk p <> None then begin
+              if Radix.get_page tree c lk p ~absent:(-1) <> -1 then begin
                 Radix.set_page tree c lk p !next_id;
                 Hashtbl.replace model p !next_id
               end;
