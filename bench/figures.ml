@@ -1155,9 +1155,25 @@ let wallclock ctx =
     Structures.Skiplist.insert core sl (i * 17) i
   done;
   let counter = ref 0 in
+  let core1 = Ccsim.Machine.core machine 1 in
+  let lock = Ccsim.Lock.create core in
+  let line =
+    Ccsim.Line.create (Ccsim.Machine.params machine)
+      (Ccsim.Machine.stats machine) ~home_socket:0
+  in
   let tests =
     Test.make_grouped ~name:"radixvm" ~fmt:"%s %s"
       [
+        Test.make ~name:"lock acquire+release"
+          (Staged.stage (fun () ->
+               Ccsim.Lock.acquire core lock;
+               Ccsim.Lock.release core lock));
+        Test.make ~name:"line write transfer"
+          (Staged.stage (fun () ->
+               incr counter;
+               Ccsim.Line.write
+                 (if !counter land 1 = 0 then core else core1)
+                 line));
         Test.make ~name:"radix lookup"
           (Staged.stage (fun () ->
                incr counter;
@@ -1177,21 +1193,47 @@ let wallclock ctx =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  let raw_results = Benchmark.all cfg instances tests in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw_results in
+  let estimates tests =
+    Analyze.all ols Instance.monotonic_clock (Benchmark.all cfg instances tests)
+  in
+  let micro = estimates tests in
+  (* Fork+exit runs last, on a machine built only now: a 16-core machine
+     and its fork garbage on the heap made every other row read 2-11x
+     slower when measured alongside it. A prefork-shaped process (64
+     pages touched by one core) forks and exits each op, then lets due
+     Refcache epochs run so frame references settle as in a workload. *)
+  let fork_machine =
+    Ccsim.Machine.create (Ccsim.Params.default ~ncores:16 ())
+  in
+  let fork_core = Ccsim.Machine.core fork_machine 0 in
+  let parent = Radixvm.create fork_machine in
+  Radixvm.mmap parent fork_core ~vpn:0 ~npages:64 ();
+  for vpn = 0 to 63 do
+    ignore (Radixvm.touch parent fork_core ~vpn : Vm.Vm_types.access_result)
+  done;
+  let fork =
+    estimates
+      (Test.make_grouped ~name:"radixvm" ~fmt:"%s %s"
+         [
+           Test.make ~name:"radixvm fork+exit (16 cores)"
+             (Staged.stage (fun () ->
+                  Radixvm.destroy (Radixvm.fork parent fork_core) fork_core;
+                  Ccsim.Machine.drain fork_machine ~cycles:0));
+         ])
+  in
+  let row name result acc =
+    let est =
+      match Analyze.OLS.estimates result with
+      | Some [ est ] -> Some est
+      | _ -> None
+    in
+    (name, est) :: acc
+  in
   let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let est =
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Some est
-          | _ -> None
-        in
-        (name, est) :: acc)
-      results []
+    Hashtbl.fold row micro (Hashtbl.fold row fork [])
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   List.iter

@@ -36,7 +36,13 @@ let mem t i =
 let unsafe_mem t i =
   Array.unsafe_get t.words (i lsr 5) land (1 lsl (i land 31)) <> 0
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
+(* A loop, not [Array.fill]: that is a C call, and every line write miss
+   clears a sharer set of one or a few words. *)
+let clear t =
+  let words = t.words in
+  for k = 0 to Array.length words - 1 do
+    Array.unsafe_set words k 0
+  done
 
 let is_empty t =
   let k = ref 0 in

@@ -107,6 +107,20 @@ let remove t key =
     end
   end
 
+(* One pass over the slots, tombstoning in place: the same table that
+   [remove] on each matching key leaves, since removal never moves an
+   entry. *)
+let remove_range t ~lo ~hi =
+  let lo = max lo 0 and keys = t.keys in
+  for s = 0 to Array.length keys - 1 do
+    let k = Array.unsafe_get keys s in
+    if k >= lo && k < hi then begin
+      Array.unsafe_set keys s (-2);
+      Array.unsafe_set t.vals s t.dummy;
+      t.live <- t.live - 1
+    end
+  done
+
 (* Ascending slot order (arbitrary but deterministic for a given insertion
    history). *)
 let iter f t =

@@ -23,6 +23,11 @@ val mem : 'a t -> int -> bool
 val remove : 'a t -> int -> unit
 (** No-op when absent. *)
 
+val remove_range : 'a t -> lo:int -> hi:int -> unit
+(** Remove every key in [\[lo, hi)] in one pass over the slots, leaving
+    the table exactly as {!remove} on each of those keys would.
+    Allocation-free; costs the table's size, not the range's width. *)
+
 val length : 'a t -> int
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit

@@ -91,7 +91,9 @@ let read_k kind core t =
     Obs.emit obs
       (Obs.Read { core = core.Core.id; line = t.id; label = t.label; kind })
 
-let write_k kind core t =
+(* Inlined so that [write] costs no more calls than before it was split
+   out: every simulated store goes through here. *)
+let[@inline] write_untraced core t =
   if t.owner = core.Core.id then begin
     t.stats.Stats.l1_hits <- t.stats.Stats.l1_hits + 1;
     Core.tick core t.params.Params.l1_hit
@@ -100,7 +102,10 @@ let write_k kind core t =
     charge_miss t core;
     Bitset.clear t.sharers;
     t.owner <- core.Core.id
-  end;
+  end
+
+let write_k kind core t =
+  write_untraced core t;
   let obs = core.Core.obs in
   if Obs.active obs then
     Obs.emit obs

@@ -37,6 +37,11 @@ val write_sync : Core.t -> t -> unit
 (** Like {!write} but tagged [Sync]: internal traffic of a synchronization
     primitive (e.g. a failed [try_acquire]). Identical cost to {!write}. *)
 
+val write_untraced : Core.t -> t -> unit
+(** {!write} without its [Write] event: the internal store of a lock
+    operation, which {!Lock} and {!Rwlock} report as one
+    [Acquire]/[Release] (carrying the line id) instead. Identical cost. *)
+
 val id : t -> int
 (** Stable identity used to correlate instrumentation events. *)
 

@@ -19,15 +19,6 @@ let create_on ?label line =
 let id t = t.id
 let label t = t.label
 
-(* The line write inside a lock operation is the primitive's own traffic:
-   suppress its [Write] event and emit one [Acquire]/[Release] (carrying the
-   line id, so census still attributes the movement to the line) instead. *)
-let quiet_write core t =
-  let obs = (core : Core.t).Core.obs in
-  Obs.quiet_incr obs;
-  Line.write core t.line;
-  Obs.quiet_decr obs
-
 (* Events are built only under [Obs.active]: without flambda, [ocamlopt]
    allocates a constructor argument even when the callee drops it. *)
 let note (core : Core.t) t ~acquire =
@@ -42,7 +33,7 @@ let note (core : Core.t) t ~acquire =
 let acquire (core : Core.t) t =
   let stats = core.Core.stats in
   stats.Stats.lock_acquires <- stats.Stats.lock_acquires + 1;
-  quiet_write core t;
+  Line.write_untraced core t.line;
   let now = Core.now core in
   if t.free_time > now then begin
     stats.Stats.lock_contended <- stats.Stats.lock_contended + 1;
@@ -53,7 +44,7 @@ let acquire (core : Core.t) t =
   note core t ~acquire:true
 
 let release (core : Core.t) t =
-  quiet_write core t;
+  Line.write_untraced core t.line;
   t.free_time <- Core.now core;
   note core t ~acquire:false
 
@@ -61,7 +52,7 @@ let try_acquire ?(timeout = 0) (core : Core.t) t =
   if timeout < 0 then invalid_arg "Lock.try_acquire: timeout";
   let stats = core.Core.stats in
   stats.Stats.lock_acquires <- stats.Stats.lock_acquires + 1;
-  quiet_write core t;
+  Line.write_untraced core t.line;
   let now = Core.now core in
   (* A failed timed attempt spins its whole budget before giving up;
      the legacy [timeout = 0] attempt is an instantaneous test-and-set. *)

@@ -13,38 +13,21 @@ type event =
   | Rc_dec of { core : int; oid : int; label : string }
   | Rc_free of { core : int; oid : int; label : string }
 
-(* [hot] caches [quiet = 0 && sink <> None]: it is read before every
-   potential event allocation — several times per simulated memory access,
-   the single most executed branch in the simulator — so it must be one
-   immediate-field load, not an option comparison. The three writers
-   ([set_sink], [quiet_incr], [quiet_decr]) keep it in sync. *)
-type t = {
-  mutable sink : (event -> unit) option;
-  mutable quiet : int;
-  mutable hot : bool;
-}
+(* [hot] caches [sink <> None]: it is read before every potential event
+   allocation — several times per simulated memory access, the single
+   most executed branch in the simulator — so it must be one
+   immediate-field load, not an option comparison. [set_sink] keeps it in
+   sync. *)
+type t = { mutable sink : (event -> unit) option; mutable hot : bool }
 
-let refresh t =
-  t.hot <- (t.quiet = 0 && match t.sink with Some _ -> true | None -> false)
-
-let create () = { sink = None; quiet = 0; hot = false }
+let create () = { sink = None; hot = false }
 
 let set_sink t sink =
   t.sink <- sink;
-  refresh t
+  t.hot <- Option.is_some sink
 
 let active t = t.hot
-
-let emit t ev =
-  if t.quiet = 0 then match t.sink with Some f -> f ev | None -> ()
-
-let quiet_incr t =
-  t.quiet <- t.quiet + 1;
-  t.hot <- false
-
-let quiet_decr t =
-  t.quiet <- t.quiet - 1;
-  refresh t
+let emit t ev = match t.sink with Some f -> f ev | None -> ()
 
 (* Identity spaces for lines and locks. Ids are only used to correlate
    events and name findings in reports; they never feed back into the cost

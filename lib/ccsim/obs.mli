@@ -54,17 +54,9 @@ val set_sink : t -> (event -> unit) option -> unit
 (** Install (or remove) the single event consumer. *)
 
 val active : t -> bool
-(** A sink is installed and emission is not suppressed — check this before
-    allocating an event. *)
+(** A sink is installed — check this before allocating an event. *)
 
 val emit : t -> event -> unit
-
-val quiet_incr : t -> unit
-(** Suppress emission (nestable). {!Lock} and {!Rwlock} wrap their internal
-    line writes with this so one logical lock operation produces one
-    [Acquire]/[Release] event rather than a spurious data [Write]. *)
-
-val quiet_decr : t -> unit
 
 val fresh_line_id : unit -> int
 val fresh_lock_id : unit -> int

@@ -16,12 +16,6 @@ let create ?(label = "rwlock") (core : Core.t) =
 let id t = t.id
 let label t = t.label
 
-let quiet_write (core : Core.t) t =
-  let obs = core.Core.obs in
-  Obs.quiet_incr obs;
-  Line.write core t.line;
-  Obs.quiet_decr obs
-
 (* As in {!Lock}: build the event only when a sink will see it. *)
 let note (core : Core.t) t ~acquire ~rd =
   let obs = core.Core.obs in
@@ -34,7 +28,7 @@ let note (core : Core.t) t ~acquire ~rd =
 let charge_acquire (core : Core.t) t wait_until =
   let stats = core.Core.stats in
   stats.Stats.lock_acquires <- stats.Stats.lock_acquires + 1;
-  quiet_write core t;
+  Line.write_untraced core t.line;
   let now = Core.now core in
   if wait_until > now then begin
     stats.Stats.lock_contended <- stats.Stats.lock_contended + 1;
@@ -48,7 +42,7 @@ let read_acquire (core : Core.t) t =
   note core t ~acquire:true ~rd:true
 
 let read_release (core : Core.t) t =
-  quiet_write core t;
+  Line.write_untraced core t.line;
   t.readers_free <- max t.readers_free (Core.now core);
   note core t ~acquire:false ~rd:true
 
@@ -57,6 +51,6 @@ let write_acquire (core : Core.t) t =
   note core t ~acquire:true ~rd:false
 
 let write_release (core : Core.t) t =
-  quiet_write core t;
+  Line.write_untraced core t.line;
   t.writer_free <- Core.now core;
   note core t ~acquire:false ~rd:false

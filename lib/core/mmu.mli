@@ -6,7 +6,11 @@
     TLB fill from the page table visible to the core (no kernel
     involvement), or a miss that the caller must turn into a software
     [pagefault]. [drop_for_core] is what a shootdown handler does on the
-    target core: clear the page-table range and invalidate the TLB. *)
+    target core: clear the page-table range and invalidate the TLB.
+
+    A core's TLB and page table are built at its first fill (an [install]
+    or a walk hit in [translate]); until then the core holds nothing, and
+    dropping or discarding its state is a no-op. *)
 
 type t
 

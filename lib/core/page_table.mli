@@ -40,8 +40,8 @@ val clear_range :
     caller charges the cost (it happens inside shootdown handlers). *)
 
 val drop_range : t -> owner:int -> lo:int -> hi:int -> unit
-(** {!clear_range} for callers that do not need the removed pairs; a
-    narrow range is removed without allocating. *)
+(** {!clear_range} for callers that do not need the removed pairs,
+    without allocating. *)
 
 val entries : t -> int
 (** Live PTEs, summed over per-core tables. *)

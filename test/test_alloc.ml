@@ -24,12 +24,26 @@ let words f =
   in
   raw f - raw ignore
 
+(* Every word [f ()] allocates, in either heap: minor plus directly
+   major-allocated, less what a minor collection promoted (counted in
+   both). Arrays past the minor-heap size limit skip [Gc.minor_words]. *)
+let total_words f =
+  let raw g =
+    Gc.full_major ();
+    let minor, promoted, major = Gc.counters () in
+    g ();
+    let minor', promoted', major' = Gc.counters () in
+    int_of_float
+      (minor' -. minor +. (major' -. major) -. (promoted' -. promoted))
+  in
+  raw f - raw ignore
+
 let fresh_machine () = Machine.create (Params.default ~ncores:2 ())
 
 let zero name f = Alcotest.(check int) name 0 (words f)
 
-let within name budget f =
-  let w = words f in
+let within ?(measure = words) name budget f =
+  let w = measure f in
   Printf.printf "%s: %d words (budget %d)\n" name w budget;
   if w > budget then
     Alcotest.failf "%s: %d words allocated, budget %d" name w budget
@@ -116,10 +130,13 @@ let test_zipf () =
 (* What the fault paths allocate is the state they model: a fresh
    anonymous fault builds the frame's counted object (with its two cache
    lines and lock), a mapping record with its TLB core set and a leaf
-   slot; a fill fault builds the page-table line the walk reads; an
-   mmap/munmap pair builds the folded slot and record, and returns the
-   removed runs. Budgets are the measured words; lower them when a change
-   removes more, never raise them to admit a new allocation. *)
+   slot; a fill fault builds the page-table line the walk reads; a core's
+   first fault in an address space also builds its TLB and page-table
+   map; an mmap/munmap pair builds the folded slot and record, and
+   returns the removed runs. Budgets are the measured words; lower them
+   when a change removes more, never raise them to admit a new
+   allocation. *)
+let first_fault_budget = 40
 let fill_fault_budget = 16
 let anon_fault_budget = 80
 let mmap_munmap_budget = 125
@@ -127,6 +144,10 @@ let mmap_munmap_budget = 125
 let test_faults () =
   let m, vm = mapped_vm ~by:1 ~vpn:5 () in
   let c0 = Machine.core m 0 in
+  (* vpn 13 sits on another page-table line than vpn 5. *)
+  access (R.touch vm (Machine.core m 1) ~vpn:13);
+  within "first fault by a core" first_fault_budget (fun () ->
+      access (R.read vm c0 ~vpn:13));
   within "fill fault" fill_fault_budget (fun () ->
       access (R.read vm c0 ~vpn:5));
   within "fresh anonymous fault" anon_fault_budget (fun () ->
@@ -134,6 +155,20 @@ let test_faults () =
   within "16-page mmap+munmap" mmap_munmap_budget (fun () ->
       R.mmap vm c0 ~vpn:128 ~npages:16 ();
       R.munmap vm c0 ~vpn:128 ~npages:16)
+
+(* An address space pays for the cores that use it: building one on an
+   80-core machine builds no per-core TLB or page-table map. Measured as
+   exec and fork build it, sharing the machine-wide Refcache and page
+   cache of an existing space; in total words, since the per-space tables
+   are major-heap allocations. Building every core's TLB and map up front
+   cost 668,682 words here. *)
+let create_80_budget = 11_051
+
+let test_create () =
+  let m = Machine.create (Params.default ~ncores:80 ()) in
+  let vm = R.create m in
+  within ~measure:total_words "address space (80 cores)" create_80_budget
+    (fun () -> ignore (R.create_with ~share_state:vm m : R.t))
 
 let () =
   Alcotest.run "alloc"
@@ -147,5 +182,9 @@ let () =
           Alcotest.test_case "physmem" `Quick test_physmem;
           Alcotest.test_case "zipf" `Quick test_zipf;
         ] );
-      ("budget", [ Alcotest.test_case "faults and mmap" `Quick test_faults ]);
+      ( "budget",
+        [
+          Alcotest.test_case "faults and mmap" `Quick test_faults;
+          Alcotest.test_case "address space on 80 cores" `Quick test_create;
+        ] );
     ]

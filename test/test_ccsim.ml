@@ -609,8 +609,8 @@ let test_stats_conservation () =
   let c = Cell.make a 0 in
   let lk = Lock.create a in
   (* A hand-picked mix: DRAM fills, local/remote transfers, L1 hits,
-     atomics, and lock traffic (whose internal write is quiet but whose
-     acquire/release events stand in for it one-for-one). *)
+     atomics, and lock traffic (whose internal write emits no event but
+     whose acquire/release events stand in for it one-for-one). *)
   Line.read a l;
   Line.read a l;
   Line.write b l;

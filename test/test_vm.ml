@@ -911,6 +911,106 @@ end
 module Grouped_generic = Generic (Radix_grouped)
 
 (* ------------------------------------------------------------------ *)
+(* Lazy translation state: a core's TLB and page-table map are built at  *)
+(* its first fill, so a core that never used the space holds nothing     *)
+
+let lazy_kinds =
+  [ Vm.Page_table.Per_core; Vm.Page_table.Shared; Vm.Page_table.Grouped 4 ]
+
+(* Nothing on [core] caches or maps any of vpns [0, n). *)
+let check_blank vm ~core ~n =
+  let mmu = R.mmu vm in
+  for vpn = 0 to n - 1 do
+    Alcotest.(check bool) "no TLB entry" false (Vm.Mmu.tlb_mem mmu ~core ~vpn);
+    Alcotest.(check bool) "no PTE" true (Vm.Mmu.pt_entry mmu ~core ~vpn = None)
+  done
+
+let test_lazy_untouched_core () =
+  List.iter
+    (fun kind ->
+      let m = machine ~ncores:8 () in
+      let vm = R.create_with ~mmu:kind m in
+      let mmu = R.mmu vm and pt = Vm.Mmu.page_table (R.mmu vm) in
+      let a = Machine.core m 0 in
+      R.mmap vm a ~vpn:0 ~npages:16 ();
+      (* Before any access every core is blank, and dropping or discarding
+         its state changes nothing. *)
+      for c = 0 to 7 do
+        check_blank vm ~core:c ~n:16;
+        Vm.Mmu.drop_for_core mmu ~owner:c ~lo:0 ~hi:max_int;
+        Vm.Mmu.drop_tlb_range mmu ~owner:c ~lo:0 ~hi:16;
+        Vm.Mmu.discard_for_core mmu ~owner:c
+      done;
+      Alcotest.(check int) "no entries" 0 (Vm.Page_table.entries pt);
+      Alcotest.(check int) "no bytes" 0 (Vm.Page_table.bytes pt);
+      for p = 0 to 3 do
+        ignore (R.touch vm a ~vpn:p)
+      done;
+      Alcotest.(check int) "one table's entries" 4 (Vm.Page_table.entries pt);
+      Alcotest.(check int) "one leaf page" 4096 (Vm.Page_table.bytes pt);
+      (* Core 7 shares no table with core 0 unless the table is shared. *)
+      (match kind with
+      | Vm.Page_table.Shared -> ()
+      | Vm.Page_table.Per_core | Vm.Page_table.Grouped _ ->
+          check_blank vm ~core:7 ~n:16;
+          Vm.Mmu.drop_for_core mmu ~owner:7 ~lo:0 ~hi:max_int;
+          Vm.Mmu.discard_for_core mmu ~owner:7;
+          Alcotest.(check int) "entries kept" 4 (Vm.Page_table.entries pt));
+      for p = 0 to 3 do
+        Alcotest.(check bool) "core 0 still caches" true
+          (Vm.Mmu.tlb_mem mmu ~core:0 ~vpn:p)
+      done;
+      R.check_invariants vm)
+    lazy_kinds
+
+let test_lazy_grouped_fill_then_shootdown () =
+  let m = machine ~ncores:8 () in
+  let vm = R.create_with ~mmu:(Vm.Page_table.Grouped 4) m in
+  let mmu = R.mmu vm in
+  let a = Machine.core m 0 and b = Machine.core m 3 in
+  R.mmap vm a ~vpn:0 ~npages:4 ();
+  ignore (R.touch vm a ~vpn:2);
+  let s = Machine.stats m in
+  let faults = s.Stats.pagefaults in
+  (* Core 3's first use of the space is a hardware walk of its group's
+     table, which builds its TLB. *)
+  Alcotest.check result_t "group mate reads" Vm_types.Ok (R.touch vm b ~vpn:2);
+  Alcotest.(check int) "filled without a fault" faults s.Stats.pagefaults;
+  Alcotest.(check bool) "group mate caches" true
+    (Vm.Mmu.tlb_mem mmu ~core:3 ~vpn:2);
+  R.munmap vm a ~vpn:0 ~npages:4;
+  Alcotest.(check bool) "shootdown reached it" false
+    (Vm.Mmu.tlb_mem mmu ~core:3 ~vpn:2);
+  Alcotest.check result_t "then it faults" Vm_types.Segfault
+    (R.touch vm b ~vpn:2)
+
+let test_lazy_fork_exit_cycles () =
+  List.iter
+    (fun kind ->
+      let m = machine ~ncores:8 () in
+      let vm = R.create_with ~mmu:kind m in
+      let a = Machine.core m 0 in
+      R.mmap vm a ~vpn:0 ~npages:8 ();
+      for p = 0 to 7 do
+        ignore (R.touch vm (Machine.core m (p mod 2)) ~vpn:p)
+      done;
+      drain_epochs m 8;
+      let frames = Physmem.live_frames (Machine.physmem m) in
+      for i = 0 to 49 do
+        let core = Machine.core m (i mod 8) in
+        let child = R.fork vm core in
+        ignore (R.touch child core ~vpn:(i mod 8));
+        ignore (R.read child (Machine.core m ((i + 3) mod 8)) ~vpn:0);
+        R.check_invariants child;
+        R.destroy child core;
+        R.check_invariants vm
+      done;
+      drain_epochs m 8;
+      Alcotest.(check int) "frames balanced" frames
+        (Physmem.live_frames (Machine.physmem m)))
+    lazy_kinds
+
+(* ------------------------------------------------------------------ *)
 (* Baseline-specific behaviour                                         *)
 
 let test_linux_faults_contend_on_lock () =
@@ -1025,6 +1125,13 @@ let () =
           tc "invariants after churn" `Quick test_radixvm_invariants_after_churn;
           tc "munmap leaves no stale entry" `Quick test_no_tlb_entry_survives_munmap;
           tc "memory accounting" `Quick test_table2_accounting_moves;
+        ] );
+      ( "lazy translation state",
+        [
+          tc "untouched core holds nothing" `Quick test_lazy_untouched_core;
+          tc "grouped fill then shootdown" `Quick
+            test_lazy_grouped_fill_then_shootdown;
+          tc "50 fork/exit cycles" `Quick test_lazy_fork_exit_cycles;
         ] );
       ( "baseline specific",
         [
